@@ -105,7 +105,6 @@ from .analysis import (
     Hierarchy,
     HierarchyNode,
     build_hierarchy,
-    causal_function_classes,
     classify_order_relation,
     count_causal_functions,
     diff_from_order,

@@ -19,13 +19,11 @@ from .encoding import (
     Event,
     History,
     HistorySet,
-    event_mask,
     event_to_idx,
     format_history,
     history_items,
     history_sort_key,
     hset_members,
-    idx_to_event,
     is_subset,
     iter_bitvec,
 )
@@ -37,6 +35,7 @@ from .orders import (
     format_order,
     hist_space,
     is_definite,
+    order_leq,
 )
 from .spaces import (
     Space,
@@ -46,6 +45,7 @@ from .spaces import (
     prime,
     space_meet,
     tightness,
+    tip,
     total_assignments,
 )
 from .symmetry import canonical_rep, perm_table, space_orbit
@@ -55,18 +55,9 @@ MAX_FUNCTION_EVENTS = 3
 # and novelty work on packed integers and stay cheap through n = 4
 
 
-def causal_function_classes(space: Space) -> tuple[tuple[History, ...], ...]:
-    """Members grouped by forced-equal outputs.
-
-    Two members merge when they determine the same event's output for some
-    total assignment; a tight space yields the discrete partition.
-    """
-    return determination_classes(space)
-
-
 def count_causal_functions(space: Space) -> int:
     """Number of causal functions: one free output bit per class."""
-    return 1 << len(causal_function_classes(space))
+    return 1 << len(determination_classes(space))
 
 
 def _function_masks(space: Space) -> list[int]:
@@ -86,7 +77,7 @@ def _function_masks(space: Space) -> list[int]:
         for h in group:
             class_of[h] = c
     members = hset_members(space.histories)
-    tip_of = {h: _tip_event(space, h) for h in members}
+    tip_of = {h: tip(space, h) for h in members}
     masks = [0] * len(classes)
     for input_idx, k in enumerate(total_assignments(evs)):
         for h in members:
@@ -95,17 +86,6 @@ def _function_masks(space: Space) -> list[int]:
                     input_idx * n + (n - 1 - pos[tip_of[h]])
                 )
     return masks
-
-
-def _tip_event(space: Space, h: History) -> Event:
-    covered_events = 0
-    for k in iter_bitvec(space.histories):
-        if k != h and is_subset(k, h):
-            covered_events |= event_mask(k)
-    for idx in iter_bitvec(h):
-        if not covered_events & (1 << (idx // 2)):
-            return idx_to_event(idx // 2)
-    raise ValueError(f"History {h} has no tip event.")
 
 
 def causal_function_set(space: Space) -> frozenset[int]:
@@ -222,15 +202,6 @@ def _load_class_table(num_events: int) -> Optional[dict[int, tuple[int, int]]]:
     }
 
 
-def definite_order_spaces(num_events: int) -> dict[HistorySet, CausalOrder]:
-    """Induced input-history space for every definite order on ``n`` events."""
-    out: dict[HistorySet, CausalOrder] = {}
-    for order in all_orders(num_events):
-        if is_definite(order):
-            out.setdefault(hist_space(order), order)
-    return out
-
-
 def classify_order_relation(
     space: Space,
 ) -> tuple[Optional[CausalOrder], tuple[CausalOrder, ...]]:
@@ -241,7 +212,6 @@ def classify_order_relation(
     refines.
     """
     evs = tuple(sorted(space.events))
-    n = len(evs)
     induced = None
     coarsenings = []
     space_ext = ext(space)
@@ -253,7 +223,7 @@ def classify_order_relation(
     minimal = tuple(
         o
         for o in coarsenings
-        if not any(p is not o and _order_strictly_below(p, o) for p in coarsenings)
+        if not any(p != o and order_leq(p, o) for p in coarsenings)
     )
     return induced, minimal
 
@@ -263,12 +233,6 @@ def _orders_on(events: tuple[Event, ...]) -> tuple[CausalOrder, ...]:
     if tuple(sorted(events)) == base[0].events:
         return base
     return tuple(CausalOrder(tuple(sorted(events)), o.below) for o in base)
-
-
-def _order_strictly_below(a: CausalOrder, b: CausalOrder) -> bool:
-    from .orders import order_leq
-
-    return a != b and order_leq(a, b)
 
 
 @dataclass(frozen=True)
@@ -346,14 +310,15 @@ def build_hierarchy(
             prelim.append((canon, canon))
 
     # metadata needed for numbering
+    ranks: dict[HistorySet, int] = {}
     dims: dict[HistorySet, int] = {}
     cf_counts: dict[HistorySet, int] = {}
     systems: dict[HistorySet, ct.LinearSystem] = {}
     for canon, rep in prelim:
         sp = Space(rep)
         systems[canon] = ct.build_equations(sp)
-        r = ct.rank(systems[canon])
-        dims[canon] = systems[canon].num_columns - r - 1
+        ranks[canon] = ct.rank(systems[canon])
+        dims[canon] = systems[canon].num_columns - ranks[canon] - 1
         cf_counts[canon] = count_causal_functions(sp)
 
     if class_table is not None and all(c in class_table for c, _ in prelim):
@@ -377,14 +342,6 @@ def build_hierarchy(
 
     all_spaces = sorted(class_of_space)
     exts = {s: ext_hset(s) for s in all_spaces}
-    order_spaces = definite_order_spaces(num_events)
-    cf_set_cache: dict[HistorySet, frozenset[int]] = {}
-
-    def cf_set(s: HistorySet) -> frozenset[int]:
-        if s not in cf_set_cache:
-            cf_set_cache[s] = causal_function_set(Space(s))
-        return cf_set_cache[s]
-
     for class_id, (canon, rep) in zip(ids, numbered):
         node = nodes[class_id]
         sp = Space(rep)
@@ -401,21 +358,17 @@ def build_hierarchy(
             sorted({class_of_space[s] for s in covering})
         )
         node.is_tight, node.identifications = tightness(sp)
-        induced, order_coarsenings = classify_order_relation(sp)
-        node.induced_by_order = induced
-        if induced is None and rep in order_spaces:
-            node.induced_by_order = order_spaces[rep]
-        node.closest_order_coarsenings = order_coarsenings
+        node.induced_by_order, node.closest_order_coarsenings = (
+            classify_order_relation(sp)
+        )
         node.causal_function_count = cf_counts[canon]
-        seen_functions: set[int] = set()
-        for s in covered:
-            seen_functions |= cf_set(s)
-        node.novel_causal_function_count = len(cf_set(rep) - seen_functions)
+        node.novel_causal_function_count = novel_causal_functions(
+            sp, [Space(s) for s in covered]
+        )
         system = systems[canon]
         node.num_equations = system.num_rows
-        r = ct.rank(system)
-        node.num_independent_equations = r
-        node.causaltope_dim = system.num_columns - r - 1
+        node.num_independent_equations = ranks[canon]
+        node.causaltope_dim = dims[canon]
 
         if covered:
             acc = exts[covered[0]]

@@ -28,9 +28,13 @@ from pathlib import Path
 from typing import Optional
 
 from . import analysis, causaltope, orders
+from .encoding import HistorySet
 from .enumerator import (
+    MAX_COMPLETE_SEARCH_EVENTS,
+    MAX_SEARCH_EVENTS,
     CorruptStateError,
     SpaceFinder,
+    enumerate_classes,
     find_eq_classes_parallel,
     write_hsets,
 )
@@ -43,9 +47,11 @@ def _state_dir() -> Path:
     return Path(os.environ.get(STATE_DIR_ENV, "."))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...] = ()) -> None:
+    """Shared options; the first of ``formats`` is the default."""
     p.add_argument("--events", type=int, required=True, help="number of events")
-    p.add_argument("--format", default=None, choices=["json", "dot", "csv", "text", "pgm"])
+    if formats:
+        p.add_argument("--format", default=formats[0], choices=formats)
     p.add_argument("--output", default=None, help="output file (default: stdout)")
 
 
@@ -60,15 +66,27 @@ def _emit(data: bytes | str, output: Optional[str]) -> None:
 
 
 def _build_hierarchy(num_events: int) -> analysis.Hierarchy:
-    finder = SpaceFinder(num_events, verbose=False)
-    finder.blank_state()
-    finder.find_eq_classes()
-    return analysis.build_hierarchy(tuple(finder.iter_eq_classes), num_events)
+    if not 1 <= num_events <= MAX_COMPLETE_SEARCH_EVENTS:
+        raise ValueError(
+            f"--events must be 1-{MAX_COMPLETE_SEARCH_EVENTS}:"
+            " this needs a complete search, which does not finish beyond"
+            f" {MAX_COMPLETE_SEARCH_EVENTS} events."
+        )
+    classes, _ = enumerate_classes(num_events)
+    return analysis.build_hierarchy(classes, num_events)
+
+
+def _write_classes(classes: tuple[HistorySet, ...], args: argparse.Namespace) -> None:
+    out = args.output
+    if out is None:
+        out = str(_state_dir() / f"classes-{args.events}.hsets")
+    with open(out, "wb") as f:
+        write_hsets(f, classes)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if not 1 <= args.events <= 4:
-        print("enumerate: --events must be 1-4", file=sys.stderr)
+    if not 1 <= args.events <= MAX_SEARCH_EVENTS:
+        print(f"enumerate: --events must be 1-{MAX_SEARCH_EVENTS}", file=sys.stderr)
         return 2
     state_file = args.state
     if state_file is None and args.save_period is not None:
@@ -90,11 +108,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             finder.blank_state()
             finder.find_eq_classes()
             classes = tuple(finder.iter_eq_classes)
-        out = args.output
-        if out is None:
-            out = str(_state_dir() / f"classes-{args.events}.hsets")
-        with open(out, "wb") as f:
-            write_hsets(f, list(classes))
+        _write_classes(classes, args)
     except OSError as exc:
         print(f"enumerate: {exc}", file=sys.stderr)
         return 1
@@ -112,12 +126,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
         )
         finder.load_state(args.state)
         finder.find_eq_classes()
-        classes = tuple(finder.iter_eq_classes)
-        out = args.output
-        if out is None:
-            out = str(_state_dir() / f"classes-{args.events}.hsets")
-        with open(out, "wb") as f:
-            write_hsets(f, list(classes))
+        _write_classes(tuple(finder.iter_eq_classes), args)
     except CorruptStateError as exc:
         print(f"resume: corrupt state file: {exc}", file=sys.stderr)
         return 1
@@ -127,7 +136,10 @@ def cmd_resume(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_space(args: argparse.Namespace, hierarchy: analysis.Hierarchy) -> Space:
+def _resolve_space(
+    args: argparse.Namespace, hierarchy: Optional[analysis.Hierarchy]
+) -> Space:
+    """The space named by ``--class-id`` in ``hierarchy`` or by ``--space``."""
     if args.class_id is not None:
         if args.class_id not in hierarchy.nodes:
             raise ValueError(f"Unknown class id {args.class_id}.")
@@ -138,16 +150,13 @@ def _resolve_space(args: argparse.Namespace, hierarchy: analysis.Hierarchy) -> S
 def cmd_classify(args: argparse.Namespace) -> int:
     try:
         hierarchy = _build_hierarchy(args.events)
-        target = _resolve_space(args, hierarchy)
-        record = analysis.report(
-            target if args.class_id is None else args.class_id, hierarchy
-        )
+        record = analysis.report(_resolve_space(args, hierarchy), hierarchy)
     except ValueError as exc:
         print(f"classify: {exc}", file=sys.stderr)
         return 2
-    if args.format in (None, "json"):
+    if args.format == "json":
         _emit(json.dumps(record, indent=2, sort_keys=True) + "\n", args.output)
-    elif args.format == "text":
+    else:
         lines = [f"class {record['class_id']} ({record['class_size']} spaces)"]
         lines.append("histories: " + "; ".join(record["representative_histories"]))
         if record["induced_by_order"]:
@@ -170,9 +179,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         lines.append(f"closest refinements: {record['closest_refinements']}")
         lines.append(f"closest coarsenings: {record['closest_coarsenings']}")
         _emit("\n".join(lines) + "\n", args.output)
-    else:
-        print("classify: unsupported format", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -182,27 +188,19 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"hierarchy: {exc}", file=sys.stderr)
         return 2
-    if args.format in (None, "dot"):
+    if args.format == "dot":
         _emit(analysis.hierarchy_dot(hierarchy), args.output)
-    elif args.format == "json":
-        _emit(analysis.hierarchy_json(hierarchy) + "\n", args.output)
     else:
-        print("hierarchy: unsupported format", file=sys.stderr)
-        return 2
+        _emit(analysis.hierarchy_json(hierarchy) + "\n", args.output)
     return 0
 
 
 def cmd_causaltope(args: argparse.Namespace) -> int:
     try:
-        if args.class_id is not None:
-            hierarchy = _build_hierarchy(args.events)
-            target = Space(hierarchy.nodes[args.class_id].representative)
-        else:
-            target = Space.parse(args.space)
-        system = causaltope.build_equations(target)
-        fmt = args.format or "csv"
-        data = causaltope.dump_system(system, fmt)
-    except (KeyError, ValueError) as exc:
+        hierarchy = None if args.class_id is None else _build_hierarchy(args.events)
+        system = causaltope.build_equations(_resolve_space(args, hierarchy))
+        data = causaltope.dump_system(system, args.format)
+    except ValueError as exc:
         print(f"causaltope: {exc}", file=sys.stderr)
         return 2
     _emit(data, args.output)
@@ -214,7 +212,7 @@ def cmd_orders(args: argparse.Namespace) -> int:
         print("orders: --events must be 1-4", file=sys.stderr)
         return 2
     all_orders, edges = orders.order_hierarchy(args.events)
-    if args.format in (None, "dot"):
+    if args.format == "dot":
         lines = ["digraph orders {"]
         for i, o in enumerate(all_orders):
             shape = "box" if orders.is_definite(o) else "ellipse"
@@ -230,9 +228,6 @@ def cmd_orders(args: argparse.Namespace) -> int:
             "covering_edges": [list(e) for e in edges],
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
-    else:
-        print("orders: unsupported format", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -261,23 +256,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_resume)
 
     p = sub.add_parser("classify", help="report record for a class or space")
-    _add_common(p)
+    _add_common(p, ("json", "text"))
     p.add_argument("--class-id", type=int, default=None)
     p.add_argument("--space", default=None, help="space literal")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("hierarchy", help="export the condensed hierarchy")
-    _add_common(p)
+    _add_common(p, ("dot", "json"))
     p.set_defaults(func=cmd_hierarchy)
 
     p = sub.add_parser("causaltope", help="dump a space's equation system")
-    _add_common(p)
+    _add_common(p, ("csv", "pgm"))
     p.add_argument("--class-id", type=int, default=None)
     p.add_argument("--space", default=None, help="space literal")
     p.set_defaults(func=cmd_causaltope)
 
     p = sub.add_parser("orders", help="export the hierarchy of causal orders")
-    _add_common(p)
+    _add_common(p, ("dot", "json"))
     p.set_defaults(func=cmd_orders)
     return parser
 

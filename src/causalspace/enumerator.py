@@ -45,11 +45,14 @@ from .encoding import (
     sub,
     sub_histories,
 )
-from .symmetry import PermGroupEl, PermTable, canonical_rep, perm_table
+from .symmetry import PermGroupEl, PermTable, canonical_rep, perm_table, space_orbit
 
-MAX_SEARCH_EVENTS = 5
+MAX_SEARCH_EVENTS = 4
 # precomputed permutation tables grow as n! * 2**n * 3**n; the search itself
 # is only tractable up to 4 events
+MAX_COMPLETE_SEARCH_EVENTS = 3
+# a search run to completion is desk-scale up to 3 events; at 4 it has
+# 315981136 top-level subsets and runs only as a checkpointed search
 
 
 class CorruptStateError(Exception):
@@ -211,8 +214,6 @@ class SpaceFinder:
     :param filename: checkpoint file; ``None`` disables saving
     :param save_period: minimum number of equivalence classes between
         checkpoints; ``None`` saves only once, at the end
-    :param toplevel_opt_depth: cap for the symmetry-optimisation depth
-        sweep; ``None`` sweeps up to the number of maximal histories
     :param use_toplevel_symmetry: when ``False``, the top level iterates
         over all children subsets brute-force (identical results, slower)
     :param print_fn: sink for status output
@@ -226,7 +227,6 @@ class SpaceFinder:
         update_period: Optional[int] = None,
         filename: Optional[str] = None,
         save_period: Optional[int] = None,
-        toplevel_opt_depth: Optional[int] = None,
         use_toplevel_symmetry: bool = True,
         print_fn: Callable[[str], None] = print,
     ) -> None:
@@ -243,7 +243,6 @@ class SpaceFinder:
         self._update_period = update_period
         self._filename = filename
         self._save_period = save_period
-        self._toplevel_opt_depth = toplevel_opt_depth
         self._use_toplevel_symmetry = use_toplevel_symmetry
         self._print_fn = print_fn
         self._chunk: Optional[tuple[int, int]] = None
@@ -404,12 +403,8 @@ class SpaceFinder:
         order, without repetition.
         """
         for rep in self.iter_eq_classes:
-            seen = set()
-            for g in self._perm_group:
-                img = self._table.permute_space(rep, g)
-                if img not in seen:
-                    seen.add(img)
-                    yield rep, img
+            for img in space_orbit(rep, self._table):
+                yield rep, img
 
     @property
     def time_elapsed(self) -> float:
@@ -818,19 +813,15 @@ class SpaceFinder:
         children subsets.
         """
         child_hists_set = {k for h in hs for k in self._children[h]}
-        opt_depth = self._toplevel_opt_depth
-        if opt_depth is None:
-            opt_depth = len(hs)
         if self._verbose:
             self._print(
                 f"Brute-forcing complexity: {1 << len(child_hists_set)}"
                 " top-level child history subsets."
             )
-            if opt_depth >= 0:
-                self._print(
-                    "Optimising top-level child history subsets"
-                    f" (max depth {opt_depth})."
-                )
+            self._print(
+                "Optimising top-level child history subsets"
+                f" (max depth {len(hs)})."
+            )
         best: Optional[
             tuple[
                 list[tuple[frozenset[History], frozenset[History]]],
@@ -838,7 +829,7 @@ class SpaceFinder:
                 list[set[History]],
             ]
         ] = None
-        for max_depth in range(-1, opt_depth + 1):
+        for max_depth in range(-1, len(hs) + 1):
             fixed_choices = self.fix_child_choices(hs, perm_group, max_depth=max_depth)
             num_todo = 0
             remaining_list = []
@@ -862,11 +853,9 @@ class SpaceFinder:
         )
 
 
-def enumerate_classes(
-    num_events: int, **finder_kwargs
-) -> tuple[tuple[HistorySet, ...], int]:
-    """Convenience wrapper: class representatives and total space count."""
-    finder = SpaceFinder(num_events, verbose=False, **finder_kwargs)
+def enumerate_classes(num_events: int) -> tuple[tuple[HistorySet, ...], int]:
+    """Runs a blank search to completion: class representatives and space count."""
+    finder = SpaceFinder(num_events, verbose=False)
     finder.blank_state()
     finder.find_eq_classes()
     return tuple(finder.iter_eq_classes), finder.num_spaces
@@ -891,11 +880,9 @@ def find_eq_classes_parallel(
     by orbit, so the final class set and space count are identical to a
     sequential run (individual representatives may differ within an orbit).
     """
-    planner = SpaceFinder(num_events, verbose=False)
-    planner.blank_state()
     if num_events == 1:
-        classes = list(planner.iter_find_eq_classes())
-        return tuple(classes), planner.num_spaces
+        return enumerate_classes(1)
+    planner = SpaceFinder(num_events, verbose=False)
     choices, _, _ = planner.opt_fix_child_choices(
         max_histories(num_events), planner._perm_group
     )
@@ -920,7 +907,5 @@ def find_eq_classes_parallel(
             if canon not in seen_canon:
                 seen_canon.add(canon)
                 merged.append(rep)
-                num_spaces += len(set(
-                    table.permute_space(rep, g) for g in table.group
-                ))
+                num_spaces += len(space_orbit(rep, table))
     return tuple(merged), num_spaces

@@ -24,6 +24,7 @@ import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 
 from .encoding import (
@@ -265,6 +266,7 @@ def _assignments_hset(events: Sequence[Event]) -> tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=None)
 def hist_space(order: CausalOrder) -> HistorySet:
     """The input histories induced by an order.
 
@@ -278,6 +280,7 @@ def hist_space(order: CausalOrder) -> HistorySet:
     return bitvec(members)
 
 
+@lru_cache(maxsize=None)
 def ext_hist_space(order: CausalOrder) -> HistorySet:
     """The extended input histories induced by an order.
 

@@ -31,6 +31,8 @@ from .encoding import (
     iter_bitvec,
     parse_hset,
 )
+from .enumerator import MAX_COMPLETE_SEARCH_EVENTS, enumerate_classes
+from .symmetry import perm_table, space_orbit
 
 
 @dataclass(frozen=True)
@@ -333,11 +335,17 @@ def causal_completions(space: Space) -> tuple[Space, ...]:
 
     Computed by filtering the full enumeration of causally complete spaces
     on the space's events and keeping the maxima; a causally complete space
-    is its own unique completion.
+    is its own unique completion. Raises :class:`ValueError` for any other
+    space on more events than a complete search can cover.
     """
     if is_causally_complete(space):
         return (space,)
     evs = tuple(sorted(space.events))
+    if len(evs) > MAX_COMPLETE_SEARCH_EVENTS:
+        raise ValueError(
+            "Causal completions need a complete search, available up to"
+            f" {MAX_COMPLETE_SEARCH_EVENTS} events; the space has {len(evs)}."
+        )
     to_local = {e: idx_to_event(i) for i, e in enumerate(evs)}
     to_global = {v: k for k, v in to_local.items()}
     local = relabel_space(space, to_local)
@@ -374,15 +382,6 @@ def relabel_space(space: Space, mapping: Mapping[Event, Event]) -> Space:
 @lru_cache(maxsize=None)
 def _all_complete_hsets(num_events: int) -> tuple[HistorySet, ...]:
     """Every causally complete space on the first ``n`` events."""
-    from .enumerator import SpaceFinder
-    from .symmetry import perm_table, space_orbit
-
-    finder = SpaceFinder(num_events, verbose=False)
-    finder.blank_state()
-    finder.find_eq_classes()
     table = perm_table(num_events)
-    out: dict[HistorySet, None] = {}
-    for rep in finder.iter_eq_classes:
-        for s in space_orbit(rep, table):
-            out[s] = None
-    return tuple(out)
+    reps, _ = enumerate_classes(num_events)
+    return tuple(dict.fromkeys(s for rep in reps for s in space_orbit(rep, table)))

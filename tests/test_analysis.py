@@ -12,6 +12,7 @@ from causalspace.encoding import (
 from causalspace.orders import format_order, hist_space, parse_order
 from causalspace.spaces import (
     Space,
+    determination_classes,
     ext_hset,
     tip,
     total_assignments,
@@ -76,14 +77,14 @@ def test_two_event_oracle_equivalence(enumeration2, hierarchy2):
 
 def test_function_classes_partition():
     disc = order_space("discrete(A,B,C)")
-    classes = an.causal_function_classes(disc)
+    classes = determination_classes(disc)
     assert all(len(g) == 1 for g in classes)
     assert len(classes) == 6
 
 
 def test_function_classes_merge_on_identifications(hierarchy3):
     node1 = hierarchy3.nodes[1]
-    groups = an.causal_function_classes(Space(node1.representative))
+    groups = determination_classes(Space(node1.representative))
     merged = [g for g in groups if len(g) > 1]
     assert merged == [
         tuple(

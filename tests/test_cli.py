@@ -85,6 +85,40 @@ def test_classify_unknown_class(capsys):
     assert main(["classify", "--events", "2", "--class-id", "9"]) == 2
 
 
+def test_causaltope_unknown_class(capsys):
+    assert main(["causaltope", "--events", "2", "--class-id", "9"]) == 2
+    assert capsys.readouterr().err == "causaltope: Unknown class id 9.\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--events", "4", "--class-id", "0"],
+        ["classify", "--events", "5", "--space", "278"],
+        ["hierarchy", "--events", "4"],
+        ["hierarchy", "--events", "0"],
+        ["causaltope", "--events", "4", "--class-id", "0"],
+    ],
+)
+def test_per_class_commands_reject_events_without_catalogue(capsys, argv):
+    # a complete search beyond 3 events does not finish, so these must fail
+    # before starting one
+    assert main(argv) == 2
+    assert "--events must be 1-3" in capsys.readouterr().err
+
+
+def test_causaltope_accepts_four_event_literal(capsys):
+    literal = "[A/0; A/1; B/0; B/1; C/0; C/1; D/0; D/1]"
+    assert main(["causaltope", "--events", "4", "--space", literal]) == 0
+    assert capsys.readouterr().out.startswith("0000|0000,")
+
+
+def test_enumerate_has_no_format_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--events", "2", "--format", "pgm"])
+    assert exc.value.code == 2
+
+
 def test_hierarchy_dot(capsys):
     rc = main(["hierarchy", "--events", "2"])
     assert rc == 0

@@ -245,6 +245,8 @@ def test_finder_rejects_bad_parameters():
     with pytest.raises(ValueError):
         en.SpaceFinder(0)
     with pytest.raises(ValueError):
+        en.SpaceFinder(5)
+    with pytest.raises(ValueError):
         en.SpaceFinder(2, update_period=0)
     with pytest.raises(ValueError):
         en.SpaceFinder(2, save_period=-1)

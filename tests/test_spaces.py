@@ -224,6 +224,14 @@ def test_causal_completions_of_complete_space():
     assert sp.causal_completions(DISCRETE3) == (DISCRETE3,)
 
 
+def test_causal_completions_reject_incomplete_space_beyond_three_events():
+    pair = sp.Space(hist_space(parse_order("indiscrete(B,C)")))
+    par = sp.parallel_compose(pair, space_of("A/0", "A/1", "D/0", "D/1"))
+    assert not sp.is_causally_complete(par)
+    with pytest.raises(ValueError, match="up to 3 events"):
+        sp.causal_completions(par)
+
+
 def test_causal_completions_distribute_over_parallel():
     # 1 + 2 events: an incomplete indefinite pair next to a free event
     pair = sp.Space(hist_space(parse_order("indiscrete(B,C)")))
