@@ -87,7 +87,6 @@ from .enumerator import (
     SearchState,
     SpaceFinder,
     enumerate_classes,
-    find_eq_classes_parallel,
     read_hsets,
     read_state,
     write_hsets,

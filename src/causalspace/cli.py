@@ -31,11 +31,9 @@ from . import analysis, causaltope, orders
 from .encoding import HistorySet
 from .enumerator import (
     MAX_COMPLETE_SEARCH_EVENTS,
-    MAX_SEARCH_EVENTS,
     CorruptStateError,
     SpaceFinder,
     enumerate_classes,
-    find_eq_classes_parallel,
     write_hsets,
 )
 from .spaces import Space
@@ -53,6 +51,13 @@ def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...] = ()) -> No
     if formats:
         p.add_argument("--format", default=formats[0], choices=formats)
     p.add_argument("--output", default=None, help="output file (default: stdout)")
+
+
+def _add_space_choice(p: argparse.ArgumentParser) -> None:
+    """Exactly one of ``--class-id`` and ``--space``."""
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--class-id", type=int, default=None)
+    group.add_argument("--space", default=None, help="space literal")
 
 
 def _emit(data: bytes | str, output: Optional[str]) -> None:
@@ -85,30 +90,24 @@ def _write_classes(classes: tuple[HistorySet, ...], args: argparse.Namespace) ->
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if not 1 <= args.events <= MAX_SEARCH_EVENTS:
-        print(f"enumerate: --events must be 1-{MAX_SEARCH_EVENTS}", file=sys.stderr)
-        return 2
     state_file = args.state
     if state_file is None and args.save_period is not None:
         state_file = str(_state_dir() / f"space-finder-{args.events}.state")
     try:
-        if args.parallel:
-            classes, num_spaces = find_eq_classes_parallel(args.events)
-            print(
-                f"Found {num_spaces} spaces in {len(classes)} equivalence classes."
-            )
-        else:
-            finder = SpaceFinder(
-                args.events,
-                verbose=not args.quiet,
-                update_period=args.update_period,
-                filename=state_file,
-                save_period=args.save_period,
-            )
-            finder.blank_state()
-            finder.find_eq_classes()
-            classes = tuple(finder.iter_eq_classes)
-        _write_classes(classes, args)
+        finder = SpaceFinder(
+            args.events,
+            verbose=not args.quiet,
+            update_period=args.update_period,
+            filename=state_file,
+            save_period=args.save_period,
+        )
+    except ValueError as exc:
+        print(f"enumerate: {exc}", file=sys.stderr)
+        return 2
+    try:
+        finder.blank_state()
+        finder.find_eq_classes()
+        _write_classes(tuple(finder.iter_eq_classes), args)
     except OSError as exc:
         print(f"enumerate: {exc}", file=sys.stderr)
         return 1
@@ -243,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default=None, help="checkpoint file")
     p.add_argument("--save-period", type=int, default=None)
     p.add_argument("--update-period", type=int, default=None)
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
@@ -257,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="report record for a class or space")
     _add_common(p, ("json", "text"))
-    p.add_argument("--class-id", type=int, default=None)
-    p.add_argument("--space", default=None, help="space literal")
+    _add_space_choice(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("hierarchy", help="export the condensed hierarchy")
@@ -267,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("causaltope", help="dump a space's equation system")
     _add_common(p, ("csv", "pgm"))
-    p.add_argument("--class-id", type=int, default=None)
-    p.add_argument("--space", default=None, help="space literal")
+    _add_space_choice(p)
     p.set_defaults(func=cmd_causaltope)
 
     p = sub.add_parser("orders", help="export the hierarchy of causal orders")
@@ -280,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "class_id", 1) is None and getattr(args, "space", 1) is None:
-        parser.error("one of --class-id or --space is required")
     return args.func(args)
 
 

@@ -9,25 +9,27 @@ skips partial spaces already seen up to event-input permutation, and emits
 a representative when only single-event children remain.
 
 At the top level the subset iteration is optionally symmetry-optimised:
-event-input permutations fix some children choices up front, splitting the
+one recursive pass over the top-level histories fixes, orbit by orbit under
+event-input permutations, some children choices up front. This splits the
 iteration into a list of "fixed" subsets, each paired with the "variable"
 children whose subsets remain to be swept. On 2/3/4 events this shrinks the
 top level from 16/4096/4294967296 subsets to 6/922/315981136.
 
 The full search state can be serialised to a binary file and a run resumed
-from it. All multi-byte integers are big-endian: the state is five 8-byte
-counters followed by four history-set collections, each serialised as an
-8-byte count and, per entry, a 2-byte byte-length (minimum 1) followed by
-the entry's bytes (always the minimal number for its value).
+from it, including from the middle of a top-level subset. All multi-byte
+integers are big-endian: the state is five 8-byte counters followed by four
+history-set collections, each serialised as an 8-byte count and, per entry,
+a 2-byte byte-length (minimum 1) followed by the entry's bytes (always the
+minimal number for its value). Checkpoint files are replaced atomically.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from collections.abc import Collection, Iterator, Sequence, Set
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from itertools import chain, combinations, islice
+from dataclasses import dataclass, field, replace
+from itertools import chain, combinations
 from time import perf_counter
 from typing import BinaryIO, Callable, Optional
 
@@ -45,7 +47,7 @@ from .encoding import (
     sub,
     sub_histories,
 )
-from .symmetry import PermGroupEl, PermTable, canonical_rep, perm_table, space_orbit
+from .symmetry import PermGroupEl, PermTable, perm_table, space_orbit
 
 MAX_SEARCH_EVENTS = 4
 # precomputed permutation tables grow as n! * 2**n * 3**n; the search itself
@@ -149,6 +151,22 @@ def read_state(f: BinaryIO) -> SearchState:
     return SearchState(*counters, partial, classes, choices, remaining)
 
 
+def _write_state_atomic(state: SearchState, filename: str) -> int:
+    """Writes a state to ``filename`` through a synced temporary file."""
+    tmp = filename + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            num_bytes_written = write_state(state, f)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, filename)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    return num_bytes_written
+
+
 def time_str(time: float) -> str:
     """Formats a time value in seconds, for status lines."""
     if time == 0:
@@ -245,7 +263,6 @@ class SpaceFinder:
         self._save_period = save_period
         self._use_toplevel_symmetry = use_toplevel_symmetry
         self._print_fn = print_fn
-        self._chunk: Optional[tuple[int, int]] = None
 
         self._table: PermTable = perm_table(num_events)
         self._max_histories = max_histories(num_events)
@@ -318,9 +335,23 @@ class SpaceFinder:
         expected_todo = sum(
             1 << r.bit_count() for r in state.remaining_children_list
         )
-        if state.num_todo != expected_todo or state.num_done > state.num_todo:
+        num_choices = len(state.child_choices_list)
+        if (
+            state.num_todo != expected_todo
+            or state.num_done > state.num_todo
+            or num_choices != len(state.remaining_children_list)
+        ):
             raise ValueError("State counters are inconsistent with its plan.")
-        if state.fix_child_choice_idx > len(state.child_choices_list):
+        idx = state.fix_child_choice_idx
+        # the variable subset position may sit just past the last subset of
+        # its fixed choice (resuming moves on to the next choice); past the
+        # last fixed choice it is 0
+        max_var_subset = (
+            1 << state.remaining_children_list[idx].bit_count()
+            if idx < num_choices
+            else 0
+        )
+        if idx > num_choices or state.var_child_subset_bitvec > max_var_subset:
             raise ValueError("State subset index is out of range.")
 
     def save_state(
@@ -328,6 +359,8 @@ class SpaceFinder:
     ) -> int:
         """Saves the state to ``filename`` (and ``filename + ".bak"``).
 
+        Each file is written to a temporary file beside it and then renamed
+        over it, so a crash mid-write leaves the previous file intact.
         Returns the total number of bytes written.
         """
         if filename is None:
@@ -336,25 +369,23 @@ class SpaceFinder:
             raise ValueError("No state filename configured.")
         state = self.state
         if state.child_choices_list:
-            # keep the completion counter consistent when saving from a
-            # partially consumed stream: the top-level position determines
-            # how many subsets were fully processed
-            state.num_done = (
-                sum(
+            # the top-level position determines how many subsets were fully
+            # processed; the subset in progress when saving from the middle
+            # of a stream is redone on resume
+            state = replace(
+                state,
+                num_done=sum(
                     1 << r.bit_count()
                     for r in state.remaining_children_list[: state.fix_child_choice_idx]
                 )
-                + state.var_child_subset_bitvec
+                + state.var_child_subset_bitvec,
             )
-        num_bytes_written = 0
         message = [f"Saving to '{filename}'..."]
-        with open(filename, "wb") as f:
-            num_bytes_written += write_state(self.state, f)
+        num_bytes_written = _write_state_atomic(state, filename)
         if save_backup:
             backup = filename + ".bak"
             message.append(f"saving to '{backup}'...")
-            with open(backup, "wb") as f:
-                num_bytes_written += write_state(self.state, f)
+            num_bytes_written += _write_state_atomic(state, backup)
         if self._verbose:
             message.append(f"done ({memory_str(num_bytes_written)} written).")
             self._print(" ".join(message))
@@ -523,6 +554,7 @@ class SpaceFinder:
         for rep in self._find_eq_classes(self._max_histories):
             state.eq_classes[rep] = None
             self._num_eq_classes_since_last_save += 1
+            self._consider_saving_state()
             if (
                 self._update_period is not None
                 and self.num_eq_classes % self._update_period == 0
@@ -648,34 +680,37 @@ class SpaceFinder:
     def _toplevel_plan(
         self, hs: Sequence[History]
     ) -> tuple[tuple[frozenset[History], ...], tuple[set[History], ...]]:
+        """The top-level plan, decoded from the state.
+
+        A fresh plan is computed and stored in the state first, so a fresh
+        and a loaded plan take the same path.
+        """
         state = self.state
-        if state.toplevel_ready:
-            choices = tuple(
-                frozenset(iter_bitvec(v)) for v in state.child_choices_list
-            )
-            remaining = tuple(set(iter_bitvec(v)) for v in state.remaining_children_list)
-            return choices, remaining
-        if self._use_toplevel_symmetry:
-            choices, num_todo, remaining = self.opt_fix_child_choices(
-                hs, self._perm_group
-            )
-        else:
-            all_children = {k for h in hs for k in self._children[h]}
-            choices = (frozenset(),)
-            remaining = (all_children,)
-            num_todo = 1 << len(all_children)
-            if self._verbose:
-                self._print(
-                    f"Brute-forcing complexity: {num_todo}"
-                    " top-level child history subsets."
+        if not state.toplevel_ready:
+            if self._use_toplevel_symmetry:
+                choices, num_todo, remaining = self.opt_fix_child_choices(
+                    hs, self._perm_group
                 )
-        state.num_todo = num_todo
-        state.num_done = 0
-        state.child_choices_list = [bitvec(c) for c in choices]
-        state.remaining_children_list = [bitvec(r) for r in remaining]
-        state.fix_child_choice_idx = 0
-        state.var_child_subset_bitvec = 0
-        return tuple(choices), tuple(remaining)
+            else:
+                all_children = {k for h in hs for k in self._children[h]}
+                choices = (frozenset(),)
+                remaining = (all_children,)
+                num_todo = 1 << len(all_children)
+                if self._verbose:
+                    self._print(
+                        f"Brute-forcing complexity: {num_todo}"
+                        " top-level child history subsets."
+                    )
+            state.num_todo = num_todo
+            state.num_done = 0
+            state.child_choices_list = [bitvec(c) for c in choices]
+            state.remaining_children_list = [bitvec(r) for r in remaining]
+            state.fix_child_choice_idx = 0
+            state.var_child_subset_bitvec = 0
+        return (
+            tuple(frozenset(iter_bitvec(v)) for v in state.child_choices_list),
+            tuple(set(iter_bitvec(v)) for v in state.remaining_children_list),
+        )
 
     def _iter_child_subsets_toplevel(
         self, hs: Sequence[History]
@@ -687,12 +722,8 @@ class SpaceFinder:
                 f"Iterating over {state.num_todo} top-level child history subsets."
             )
         self._print_status_header()
-        start, stop = self._chunk or (0, len(choices))
-        start = max(start, state.fix_child_choice_idx)
-        state.fix_child_choice_idx = start
-        for child_choice, remaining in islice(
-            zip(choices, remaining_list), start, stop
-        ):
+        start = state.fix_child_choice_idx
+        for child_choice, remaining in zip(choices[start:], remaining_list[start:]):
             rem_sorted = sorted(remaining, key=history_sort_key)
             hs_already_covered = frozenset(
                 h for h in hs if child_choice & self._children_set[h]
@@ -710,8 +741,6 @@ class SpaceFinder:
                     if self._update_period is None:
                         self._print_status_line()
                 state.var_child_subset_bitvec += 1
-                if child_subset is not None:
-                    self._consider_saving_state()
             state.var_child_subset_bitvec = 0
             state.fix_child_choice_idx += 1
 
@@ -723,9 +752,6 @@ class SpaceFinder:
         perm_group: Sequence[PermGroupEl],
         children_to_include: frozenset[History] = frozenset(),
         children_to_avoid: frozenset[History] = frozenset(),
-        *,
-        depth: int = 0,
-        max_depth: Optional[int] = None,
     ) -> list[tuple[frozenset[History], frozenset[History]]]:
         """Fixes children choices that are redundant under symmetry.
 
@@ -733,12 +759,9 @@ class SpaceFinder:
         fall into the fewest orbits under ``perm_group``, branches on one
         representative per orbit (with its stabiliser as the next group),
         and accumulates the (children to include, children to avoid) pairs.
-        Recursion stops on a trivial group, exhausted histories, or the
-        depth cutoff.
+        Recursion stops on a trivial group or exhausted histories.
         """
-        if len(perm_group) == 1 or not hs or (
-            max_depth is not None and depth > max_depth
-        ):
+        if len(perm_group) == 1 or not hs:
             return [(frozenset(), frozenset())]
 
         def selectable(s: Set[History], must_include: Set[History]) -> bool:
@@ -790,12 +813,7 @@ class SpaceFinder:
                 frozenset(self._children[best_h]) - ks
             )
             for rec_include, rec_avoid in self.fix_child_choices(
-                new_hs,
-                ks_stab,
-                new_include,
-                new_avoid,
-                depth=depth + 1,
-                max_depth=max_depth,
+                new_hs, ks_stab, new_include, new_avoid
             ):
                 choice = (rec_include | ks, rec_avoid | new_avoid)
                 if choice not in seen:
@@ -806,7 +824,7 @@ class SpaceFinder:
     def opt_fix_child_choices(
         self, hs: Sequence[History], perm_group: Sequence[PermGroupEl]
     ) -> tuple[tuple[frozenset[History], ...], int, tuple[set[History], ...]]:
-        """Sweeps optimisation depths and keeps the first local minimum.
+        """The symmetry-optimised top-level plan, in one recursive pass.
 
         Returns the fixed children subsets, the total number of top-level
         subsets to iterate over, and the corresponding maximal variable
@@ -818,38 +836,14 @@ class SpaceFinder:
                 f"Brute-forcing complexity: {1 << len(child_hists_set)}"
                 " top-level child history subsets."
             )
-            self._print(
-                "Optimising top-level child history subsets"
-                f" (max depth {len(hs)})."
-            )
-        best: Optional[
-            tuple[
-                list[tuple[frozenset[History], frozenset[History]]],
-                int,
-                list[set[History]],
-            ]
-        ] = None
-        for max_depth in range(-1, len(hs) + 1):
-            fixed_choices = self.fix_child_choices(hs, perm_group, max_depth=max_depth)
-            num_todo = 0
-            remaining_list = []
-            for include, avoid in fixed_choices:
-                remaining = child_hists_set - (include | avoid)
-                num_todo += 1 << len(remaining)
-                remaining_list.append(remaining)
-            if best is None or num_todo <= best[1]:
-                if self._verbose and max_depth >= 0:
-                    self._print(
-                        f"  {num_todo} subsets at optimisation depth {max_depth}"
-                    )
-                best = (fixed_choices, num_todo, remaining_list)
-            else:
-                break
-        assert best is not None
+        fixed_choices = self.fix_child_choices(hs, perm_group)
+        remaining = tuple(
+            child_hists_set - (include | avoid) for include, avoid in fixed_choices
+        )
         return (
-            tuple(include for include, _ in best[0]),
-            best[1],
-            tuple(best[2]),
+            tuple(include for include, _ in fixed_choices),
+            sum(1 << len(r) for r in remaining),
+            remaining,
         )
 
 
@@ -859,53 +853,3 @@ def enumerate_classes(num_events: int) -> tuple[tuple[HistorySet, ...], int]:
     finder.blank_state()
     finder.find_eq_classes()
     return tuple(finder.iter_eq_classes), finder.num_spaces
-
-
-def _run_chunk(args: tuple[int, int, int]) -> list[HistorySet]:
-    num_events, start, stop = args
-    finder = SpaceFinder(num_events, verbose=False)
-    finder.blank_state()
-    finder._chunk = (start, stop)
-    # plan deterministically, then restrict the top level to the chunk
-    return list(finder.iter_find_eq_classes())
-
-
-def find_eq_classes_parallel(
-    num_events: int, *, processes: int = 2
-) -> tuple[tuple[HistorySet, ...], int]:
-    """Deterministic parallel search over top-level chunks.
-
-    Each worker explores a contiguous range of fixed children subsets with
-    its own visited sets; results are merged in chunk order and deduplicated
-    by orbit, so the final class set and space count are identical to a
-    sequential run (individual representatives may differ within an orbit).
-    """
-    if num_events == 1:
-        return enumerate_classes(1)
-    planner = SpaceFinder(num_events, verbose=False)
-    choices, _, _ = planner.opt_fix_child_choices(
-        max_histories(num_events), planner._perm_group
-    )
-    num_choices = len(choices)
-    processes = max(1, min(processes, num_choices))
-    bounds = [
-        (num_events, i * num_choices // processes, (i + 1) * num_choices // processes)
-        for i in range(processes)
-    ]
-    if processes == 1:
-        chunk_results = [_run_chunk(bounds[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            chunk_results = list(pool.map(_run_chunk, bounds))
-    table = perm_table(num_events)
-    seen_canon: set[HistorySet] = set()
-    merged: list[HistorySet] = []
-    num_spaces = 0
-    for chunk in chunk_results:
-        for rep in chunk:
-            canon = canonical_rep(rep, table)
-            if canon not in seen_canon:
-                seen_canon.add(canon)
-                merged.append(rep)
-                num_spaces += len(space_orbit(rep, table))
-    return tuple(merged), num_spaces

@@ -30,8 +30,18 @@ def test_enumerate_one_event(capsys, state_dir):
     assert len(classes) == 1
 
 
-def test_enumerate_rejects_bad_event_count(capsys):
-    assert main(["enumerate", "--events", "7"]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--events", "7"],
+        ["--events", "2", "--save-period", "0"],
+        ["--events", "2", "--update-period", "-1"],
+    ],
+    ids=["events", "save-period", "update-period"],
+)
+def test_enumerate_rejects_bad_event_count(capsys, argv):
+    assert main(["enumerate", *argv]) == 2
+    assert capsys.readouterr().err.startswith("enumerate: ")
 
 
 def test_enumerate_with_checkpoint_and_resume(capsys, state_dir):
@@ -105,6 +115,16 @@ def test_per_class_commands_reject_events_without_catalogue(capsys, argv):
     # before starting one
     assert main(argv) == 2
     assert "--events must be 1-3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "causaltope"])
+@pytest.mark.parametrize(
+    "choice", [[], ["--class-id", "0", "--space", "278"]], ids=["neither", "both"]
+)
+def test_class_id_and_space_are_exclusive(capsys, command, choice):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--events", "2", *choice])
+    assert exc.value.code == 2
 
 
 def test_causaltope_accepts_four_event_literal(capsys):

@@ -1,6 +1,9 @@
+import hashlib
 import io
 import os
 import shutil
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +47,25 @@ def test_two_event_fixed_choice_plan():
     assert [sorted(c) for c in choices] == [[1, 4, 8], [1, 4], [1, 2, 8], [1, 2]]
     assert [sorted(r) for r in remaining] == [[2], [2], [], []]
     assert num_todo == 6
+
+
+PLAN_DIGESTS = {
+    3: (24, "537cad66036c72aaed9ba41b01056f65a5b44b2c381b918e053819b8ff9185f6"),
+    4: (732, "af5aaf8252e6f79291296d4115cc895eb738f89ec640ec3fca7979fded42caa9"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PLAN_DIGESTS))
+def test_toplevel_plan_pinned(n):
+    # checkpoints carry the plan, so it must stay byte-exact
+    num_choices, digest = PLAN_DIGESTS[n]
+    finder = en.SpaceFinder(n, verbose=False)
+    choices, num_todo, remaining = finder.opt_fix_child_choices(
+        max_histories(n), finder._perm_group
+    )
+    assert len(choices) == num_choices
+    plan = ([bitvec(c) for c in choices], num_todo, [bitvec(r) for r in remaining])
+    assert hashlib.sha256(repr(plan).encode()).hexdigest() == digest
 
 
 def test_three_event_search_exact(enumeration3):
@@ -203,6 +225,57 @@ def test_periodic_checkpoints_resumable(tmp_path):
         assert (list(resumed.iter_eq_classes), resumed.num_spaces) == expected
 
 
+def test_periodic_checkpoints_within_a_toplevel_subset(tmp_path):
+    # at 4 events the first top-level subset alone yields thousands of
+    # classes, so checkpoints must not wait for a subset to finish
+    path = str(tmp_path / "n4.bin")
+    finder = en.SpaceFinder(4, verbose=False, filename=path, save_period=5)
+    finder.blank_state()
+    streamed = list(islice(finder.iter_find_eq_classes(), 12))
+    assert os.path.exists(path)
+    resumed = en.SpaceFinder(4, verbose=False)
+    resumed.load_state(path)
+    assert list(resumed.iter_eq_classes) == streamed[:10]
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = str(tmp_path / "state.bin")
+    finder = run_finder(2, filename=path)
+    before = {p: Path(p).read_bytes() for p in (path, path + ".bak")}
+
+    def failing_write_state(state, f):
+        f.write(b"\x00\x01\x02")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(en, "write_state", failing_write_state)
+    with pytest.raises(OSError):
+        finder.save_state(path)
+    assert {p: Path(p).read_bytes() for p in before} == before
+    assert sorted(os.listdir(tmp_path)) == ["state.bin", "state.bin.bak"]
+
+
+def test_load_state_rejects_out_of_range_subset_position(tmp_path):
+    path = str(tmp_path / "state.bin")
+    finder = en.SpaceFinder(3, verbose=False)
+    finder.blank_state()
+    next(finder.iter_find_eq_classes())
+    finder.save_state(path, save_backup=False)
+    with open(path, "rb") as f:
+        state = en.read_state(f)
+    remaining = state.remaining_children_list[state.fix_child_choice_idx]
+    # just past the last subset of a fixed choice is a valid position
+    end = 1 << remaining.bit_count()
+    for position, valid in ((end, True), (end + 1, False), (1 << 40, False)):
+        state.var_child_subset_bitvec = position
+        with open(path, "wb") as f:
+            en.write_state(state, f)
+        if valid:
+            en.SpaceFinder(3, verbose=False).load_state(path)
+        else:
+            with pytest.raises(ValueError):
+                en.SpaceFinder(3, verbose=False).load_state(path)
+
+
 def test_load_state_guards_event_mismatch(tmp_path):
     path = str(tmp_path / "n3.bin")
     finder = en.SpaceFinder(3, verbose=False, filename=path)
@@ -229,16 +302,6 @@ def test_emitted_classes_are_duplicate_free_and_orbit_disjoint(enumeration3):
     from causalspace.symmetry import space_orbit
 
     assert sum(len(space_orbit(c, table)) for c in classes) == num_spaces
-
-
-def test_parallel_mode_matches_sequential(enumeration3):
-    classes, num_spaces = enumeration3
-    table = perm_table(3)
-    par_classes, par_spaces = en.find_eq_classes_parallel(3, processes=2)
-    assert par_spaces == num_spaces
-    assert {canonical_rep(c, table) for c in par_classes} == {
-        canonical_rep(c, table) for c in classes
-    }
 
 
 def test_finder_rejects_bad_parameters():
