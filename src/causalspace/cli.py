@@ -31,6 +31,7 @@ from . import analysis, causaltope, orders
 from .encoding import HistorySet
 from .enumerator import (
     MAX_COMPLETE_SEARCH_EVENTS,
+    MAX_SEARCH_EVENTS,
     CorruptStateError,
     SpaceFinder,
     enumerate_classes,
@@ -90,6 +91,17 @@ def _write_classes(classes: tuple[HistorySet, ...], args: argparse.Namespace) ->
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    if (
+        MAX_COMPLETE_SEARCH_EVENTS < args.events <= MAX_SEARCH_EVENTS
+        and args.save_period is None
+    ):
+        print(
+            f"enumerate: --events {args.events} needs --save-period (and optionally"
+            " --state): the search does not finish in one run, and without"
+            " periodic checkpoints it writes nothing until it ends.",
+            file=sys.stderr,
+        )
+        return 2
     state_file = args.state
     if state_file is None and args.save_period is not None:
         state_file = str(_state_dir() / f"space-finder-{args.events}.state")

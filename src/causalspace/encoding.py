@@ -67,17 +67,10 @@ def iter_bitvec(u: Bitvec) -> Iterator[int]:
     """Iterates over the elements of a bitvector, in increasing order."""
     if u < 0:
         raise ValueError("Invalid bitvector.")
-    el = 0
-    while u > 0:
-        if u & 1:
-            yield el
-        u >>= 1
-        el += 1
-
-
-def bitvec_to_set(u: Bitvec) -> set[int]:
-    """Unpacks a bitvector into the corresponding set of integers."""
-    return set(iter_bitvec(u))
+    while u:
+        low = u & -u
+        yield low.bit_length() - 1
+        u ^= low
 
 
 def popcount(u: Bitvec) -> int:

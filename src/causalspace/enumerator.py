@@ -8,6 +8,12 @@ sub-histories (``winnowing``, since such candidates cannot be join-prime),
 skips partial spaces already seen up to event-input permutation, and emits
 a representative when only single-event children remain.
 
+A partial space counts as seen when its canonical dense key, the smallest
+of its packed images under the group (see ``symmetry``), is in a set the
+finder keeps beside the state, one key per visited partial space and per
+class. The state itself still holds the history sets as found, so the
+checkpoint format does not depend on the packed table.
+
 At the top level the subset iteration is optionally symmetry-optimised:
 one recursive pass over the top-level histories fixes, orbit by orbit under
 event-input permutations, some children choices up front. This splits the
@@ -45,7 +51,6 @@ from .encoding import (
     max_histories,
     parents,
     sub,
-    sub_histories,
 )
 from .symmetry import PermGroupEl, PermTable, perm_table, space_orbit
 
@@ -267,8 +272,7 @@ class SpaceFinder:
         self._table: PermTable = perm_table(num_events)
         self._max_histories = max_histories(num_events)
         self._perm_group = self._table.group
-        hs = sorted(sub_histories(self._max_histories), key=history_sort_key)
-        self._histories_perm_dict = self._table.action
+        hs = self._table.histories
         self._children_set = {h: frozenset(child_histories(h)) for h in hs}
         self._children = {
             h: tuple(sorted(self._children_set[h], key=history_sort_key)) for h in hs
@@ -280,6 +284,8 @@ class SpaceFinder:
         )
         self._max_space_size = sys.getsizeof(1 << (1 << (2 * num_events)))
         self._state: Optional[SearchState] = None
+        # canonical dense keys of partial_spaces_visited and eq_classes
+        self._seen: set[bytes] = set()
         self._start_time = perf_counter()
         self._num_eq_classes_since_last_save = 0
 
@@ -296,6 +302,7 @@ class SpaceFinder:
     def blank_state(self) -> None:
         """Initialises the finder for a fresh search."""
         self._state = SearchState()
+        self._seen = set()
 
     def load_state(self, filename: str) -> None:
         """Loads a previously saved search state from a binary file."""
@@ -305,17 +312,25 @@ class SpaceFinder:
                 raise CorruptStateError("Trailing bytes after state data.")
         self._validate_state(state)
         self._state = state
+        self._rebuild_seen()
+
+    def _rebuild_seen(self) -> None:
+        state = self.state
+        self._seen = {
+            min(self._table.dense_images(iter_bitvec(s)))
+            for s in chain(state.partial_spaces_visited, state.eq_classes)
+        }
 
     def _validate_state(self, state: SearchState) -> None:
         n = self._num_events
-        max_history = 1 << (2 * n)
+        all_histories = bitvec(self._table.histories)
         for hs in chain(
             state.partial_spaces_visited,
             state.eq_classes,
             state.child_choices_list,
             state.remaining_children_list,
         ):
-            if hs.bit_length() > max_history:
+            if not is_subset(hs, all_histories):
                 raise ValueError(
                     f"State holds histories outside the range of {n} events."
                 )
@@ -464,10 +479,11 @@ class SpaceFinder:
 
     @property
     def memsize(self) -> int:
-        """Upper bound on bytes held by search collections.
+        """Upper bound on bytes held by the search state's collections.
 
         Counts one maximal space bitvector per entry across the mutable
-        collections, plus container overhead.
+        collections, plus container overhead. The finder's set of canonical
+        dense keys beside the state is not counted.
         """
         state = self.state
         collections = (
@@ -536,6 +552,7 @@ class SpaceFinder:
         if self._update_period is not None:
             self._print_status_line()
         self.state.partial_spaces_visited.clear()
+        self._rebuild_seen()
         self._save_state()
         self._describe()
 
@@ -545,14 +562,12 @@ class SpaceFinder:
         Consuming the stream partially leaves a consistent, saveable state;
         resuming from it completes the search without repeating work.
         """
-        state = self.state
         self._start_time = perf_counter()
         self._num_eq_classes_since_last_save = 0
         if self._num_events == 1:
             yield from self._find_single_event()
             return
         for rep in self._find_eq_classes(self._max_histories):
-            state.eq_classes[rep] = None
             self._num_eq_classes_since_last_save += 1
             self._consider_saving_state()
             if (
@@ -584,10 +599,9 @@ class SpaceFinder:
         level: int = 0,
     ) -> Iterator[HistorySet]:
         hs_so_far = tuple(chain(new_hs, hs))
-        hs_perm_dict = self._histories_perm_dict
         state = self.state
-        partial_spaces_visited = state.partial_spaces_visited
-        spaces_visited = state.eq_classes
+        dense_images = self._table.dense_images
+        seen = self._seen
         if level == 0:
             iter_child_subsets = self._iter_child_subsets_toplevel
         else:
@@ -604,36 +618,27 @@ class SpaceFinder:
             )
             winnowed_hs_rest = tuple(h for h in hs_so_far_rest if h)
             partial_space = set(chain(child_subset_sorted, winnowed_hs))
+            # an orbit meets the seen spaces iff its canonical key is seen
+            imgs = dense_images(partial_space)
+            canon = min(imgs)
+            if canon in seen:
+                continue
             partial_space_bitvec = bitvec(partial_space)
-            already_seen = (
-                partial_space_bitvec in partial_spaces_visited
-                or partial_space_bitvec in spaces_visited
-            )
-            eq_class: set[HistorySet] = set()
-            if not already_seen:
-                for g in self._perm_group:
-                    g_action = hs_perm_dict[g]
-                    perm_bitvec = bitvec(g_action[h] for h in partial_space)
-                    eq_class.add(perm_bitvec)
-                    if (
-                        perm_bitvec in partial_spaces_visited
-                        or perm_bitvec in spaces_visited
-                    ):
-                        already_seen = True
-                        break
-            if not already_seen:
-                if all(self._domsize[h] == 1 for h in child_subset_sorted):
-                    state.num_spaces += len(eq_class)
-                    yield partial_space_bitvec
-                else:
-                    yield from self._find_eq_classes(
-                        child_subset_sorted, winnowed_hs, winnowed_hs_rest, level + 1
-                    )
-                    # marked visited only once fully explored, so a state
-                    # saved after an abandoned run still resumes exactly;
-                    # partial spaces at distinct levels can never collide
-                    # (their minimum member domain size pins the level)
-                    partial_spaces_visited[partial_space_bitvec] = None
+            if all(self._domsize[h] == 1 for h in child_subset_sorted):
+                state.num_spaces += len(set(imgs))
+                state.eq_classes[partial_space_bitvec] = None
+                seen.add(canon)
+                yield partial_space_bitvec
+            else:
+                yield from self._find_eq_classes(
+                    child_subset_sorted, winnowed_hs, winnowed_hs_rest, level + 1
+                )
+                # marked visited only once fully explored, so a state
+                # saved after an abandoned run still resumes exactly;
+                # partial spaces at distinct levels can never collide
+                # (their minimum member domain size pins the level)
+                state.partial_spaces_visited[partial_space_bitvec] = None
+                seen.add(canon)
 
     # -- child subset iteration --------------------------------------------
 
@@ -789,7 +794,7 @@ class SpaceFinder:
                     continue
                 ks_stab = []
                 for g in perm_group:
-                    action = self._histories_perm_dict[g]
+                    action = self._table.action[g]
                     ks_img = frozenset(action[k] for k in ks)
                     if ks == ks_img:
                         ks_stab.append(g)

@@ -20,11 +20,6 @@ def restriction_leq(f: History, g: History) -> bool:
     return is_subset(f, g)
 
 
-def restriction_lt(f: History, g: History) -> bool:
-    """Whether ``f`` is a strict restriction of ``g``."""
-    return f != g and is_subset(f, g)
-
-
 def meet(f: History, g: History) -> History:
     """The largest common restriction of two histories."""
     return f & g

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from causalspace import cli
 from causalspace.cli import main
 from causalspace.enumerator import SpaceFinder, read_hsets
 
@@ -42,6 +43,18 @@ def test_enumerate_one_event(capsys, state_dir):
 def test_enumerate_rejects_bad_event_count(capsys, argv):
     assert main(["enumerate", *argv]) == 2
     assert capsys.readouterr().err.startswith("enumerate: ")
+
+
+@pytest.mark.parametrize("with_state", [False, True], ids=["bare", "state"])
+def test_enumerate_four_events_needs_save_period(capsys, monkeypatch, state_dir, with_state):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search was started")
+
+    monkeypatch.setattr(cli, "SpaceFinder", no_search)
+    argv = ["--state", str(state_dir / "run4.state")] if with_state else []
+    assert main(["enumerate", "--events", "4", "--quiet", *argv]) == 2
+    assert capsys.readouterr().err.startswith("enumerate: --events 4 needs --save-period")
+    assert not os.listdir(state_dir)
 
 
 def test_enumerate_with_checkpoint_and_resume(capsys, state_dir):

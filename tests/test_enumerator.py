@@ -68,6 +68,41 @@ def test_toplevel_plan_pinned(n):
     assert hashlib.sha256(repr(plan).encode()).hexdigest() == digest
 
 
+CHECKPOINT4_SHA256 = "a2773a508f0fe6167d8d8d0b00f50efe596c394358b7399c061664183b63c22b"
+
+
+def test_four_event_checkpoint_pinned(tmp_path):
+    # the checkpoint after 100 classes of a blank 4-event search is byte-exact:
+    # the state holds history sets as found, whatever keys dedupe the search
+    path = str(tmp_path / "n4.bin")
+    finder = en.SpaceFinder(4, verbose=False)
+    finder.blank_state()
+    stream = finder.iter_find_eq_classes()
+    assert len(list(islice(stream, 100))) == 100
+    stream.close()
+    finder.save_state(path, save_backup=False)
+    with open(path, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == CHECKPOINT4_SHA256
+
+
+def test_four_event_resume_matches_straight_run(tmp_path):
+    # a loaded state must skip orbits seen before the save, also those of the
+    # top-level subset that is redone on resume
+    straight = en.SpaceFinder(4, verbose=False)
+    straight.blank_state()
+    reps = list(islice(straight.iter_find_eq_classes(), 60))
+    path = str(tmp_path / "n4.bin")
+    first = en.SpaceFinder(4, verbose=False)
+    first.blank_state()
+    resumed = list(islice(first.iter_find_eq_classes(), 30))
+    first.save_state(path, save_backup=False)
+    second = en.SpaceFinder(4, verbose=False)
+    second.load_state(path)
+    resumed += islice(second.iter_find_eq_classes(), 30)
+    assert resumed == reps
+    assert second.num_spaces == straight.num_spaces
+
+
 def test_three_event_search_exact(enumeration3):
     classes, num_spaces = enumeration3
     assert len(classes) == 102
@@ -274,6 +309,16 @@ def test_load_state_rejects_out_of_range_subset_position(tmp_path):
         else:
             with pytest.raises(ValueError):
                 en.SpaceFinder(3, verbose=False).load_state(path)
+
+
+def test_load_state_rejects_sets_of_non_histories(tmp_path):
+    path = str(tmp_path / "state.bin")
+    # bit 0 is the empty history, bit 3 the history with both inputs at A
+    for bad in (0b1, 0b1000):
+        with open(path, "wb") as f:
+            en.write_state(en.SearchState(partial_spaces_visited={bad: None}), f)
+        with pytest.raises(ValueError):
+            en.SpaceFinder(3, verbose=False).load_state(path)
 
 
 def test_load_state_guards_event_mismatch(tmp_path):

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalspace import symmetry as sym
-from causalspace.encoding import bitvec, history
+from causalspace.encoding import bitvec, history, iter_bitvec
 
 
 def H(text):
@@ -100,3 +102,33 @@ def test_canonical_rep_is_idempotent_and_orbit_invariant():
         assert sym.canonical_rep(canon, table) == canon
         for img in sym.space_orbit(space, table):
             assert sym.canonical_rep(img, table) == canon
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_action_tables_match_permute_history(n):
+    table = sym.PermTable(n)
+    expected = {
+        g: {h: sym.permute_history(h, g) for h in table.histories} for g in table.group
+    }
+    assert list(table.action) == list(expected)
+    for g in table.group:
+        assert list(table.action[g].items()) == list(expected[g].items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dense_images_match_permute_space(n):
+    table = sym.perm_table(n)
+    rng = random.Random(n)
+    for _ in range(12):
+        size = rng.randint(1, len(table.histories))
+        s = bitvec(rng.sample(table.histories, size))
+        keys = table.dense_images(iter_bitvec(s))
+        images = [table.permute_space(s, g) for g in table.group]
+        assert [table.sparse(k) for k in keys] == images
+        # comparing keys as bytes compares the history sets as numbers
+        assert [table.sparse(k) for k in sorted(keys)] == sorted(images)
+        assert sym.space_orbit(s, table) == tuple(dict.fromkeys(images))
+        assert sym.canonical_rep(s, table) == min(images)
+        assert sym.space_stabiliser(s, table) == tuple(
+            g for g, img in zip(table.group, images) if img == s
+        )
