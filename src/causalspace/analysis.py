@@ -4,14 +4,18 @@ Given the equivalence classes produced by the enumerator, this module
 computes per-class metadata (causal-function counts, tightness, induced
 orders, causaltope dimensions), the covering structure of the refinement
 order condensed by symmetry, and per-class report records with JSON and
-DOT exports.
+DOT exports. A hierarchy's catalogue (class ids, orbits, join-closures) is
+built up front; each class's facts are computed when first read and
+memoised on its node, so a one-class query analyses only that class.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from importlib import resources
+from operator import and_
 from typing import Iterable, Mapping, Optional
 
 from . import causaltope as ct
@@ -135,28 +139,42 @@ def novel_causal_functions(space: Space, refinements: Iterable[Space]) -> int:
     return len(own - seen)
 
 
+# per-class facts, computed on first read by the function that sets them
+_SYSTEM_FACTS = frozenset((
+    "num_equations", "num_independent_equations", "causaltope_dim",
+    "causal_function_count",
+))
+_CLASS_FACTS = frozenset((
+    "closest_refinements", "closest_coarsenings", "is_tight", "identifications",
+    "induced_by_order", "closest_order_coarsenings", "novel_causal_function_count",
+    "is_join_of_refinements", "is_meet_of_coarsenings",
+    "causaltope_dim_of_coarsening_meet",
+))
+
+
 @dataclass
 class HierarchyNode:
-    """Per-class record of the condensed hierarchy."""
+    """Per-class record of the condensed hierarchy.
+
+    The fields are the catalogue entry; the facts in ``_SYSTEM_FACTS`` and
+    ``_CLASS_FACTS`` are computed on first read and memoised on the node.
+    """
 
     class_id: int
     representative: HistorySet
     canonical: HistorySet
     orbit_size: int
-    closest_refinements: tuple[int, ...] = ()
-    closest_coarsenings: tuple[int, ...] = ()
-    is_tight: bool = True
-    identifications: tuple[tuple[History, ...], ...] = ()
-    induced_by_order: Optional[CausalOrder] = None
-    closest_order_coarsenings: tuple[CausalOrder, ...] = ()
-    causal_function_count: int = 0
-    novel_causal_function_count: int = 0
-    causaltope_dim: int = 0
-    num_equations: int = 0
-    num_independent_equations: int = 0
-    is_join_of_refinements: bool = False
-    is_meet_of_coarsenings: bool = False
-    causaltope_dim_of_coarsening_meet: Optional[int] = None
+    hierarchy: "Hierarchy" = field(repr=False, compare=False)
+
+    def __getattr__(self, name: str):
+        # reached only for attributes not set yet
+        if name in _SYSTEM_FACTS:
+            _system_facts(self)
+        elif name in _CLASS_FACTS:
+            _analyse(self)
+        else:
+            raise AttributeError(name)
+        return self.__dict__[name]
 
 
 @dataclass
@@ -166,9 +184,8 @@ class Hierarchy:
     num_events: int
     nodes: dict[int, HierarchyNode]
     class_of_space: dict[HistorySet, int]
-
-    def node_of_space(self, s: HistorySet) -> HierarchyNode:
-        return self.nodes[self.class_of_space[s]]
+    # the join-closure of every space, the spaces in increasing order
+    ext_of_space: dict[HistorySet, HistorySet]
 
     @property
     def minima(self) -> tuple[int, ...]:
@@ -183,7 +200,7 @@ class Hierarchy:
         )
 
 
-def _load_class_table(num_events: int) -> Optional[dict[int, tuple[int, int]]]:
+def _load_class_table(num_events: int) -> dict[HistorySet, tuple[int, HistorySet]]:
     """Pinned class numbering: canonical representative -> (id, exhibited rep)."""
     name = f"classes{num_events}.json"
     try:
@@ -191,14 +208,11 @@ def _load_class_table(num_events: int) -> Optional[dict[int, tuple[int, int]]]:
             resources.files("causalspace").joinpath("data").joinpath(name).read_text()
         )
     except (FileNotFoundError, ModuleNotFoundError):
-        return None
+        return {}
     table = perm_table(num_events)
     return {
-        canonical_rep(entry["representative"], table): (
-            entry["id"],
-            entry["representative"],
-        )
-        for entry in data["classes"]
+        canonical_rep(e["representative"], table): (e["id"], e["representative"])
+        for e in data["classes"]
     }
 
 
@@ -283,7 +297,21 @@ def build_hierarchy(
 
     Classes are numbered by the pinned catalogue table when one is shipped
     for the event count; otherwise by ascending (causaltope dimension,
-    causal-function count, canonical representative).
+    causal-function count, canonical representative). Every class's facts
+    are read, through ``_catalogue``'s first-read path, before this returns.
+    """
+    hierarchy = _catalogue(classes, num_events)
+    for node in hierarchy.nodes.values():
+        for name in _SYSTEM_FACTS | _CLASS_FACTS:
+            getattr(node, name)
+    return hierarchy
+
+
+def _catalogue(classes: Iterable[HistorySet], num_events: Optional[int]) -> Hierarchy:
+    """The hierarchy's catalogue: ids, orbits and join-closures.
+
+    Each class's facts are computed on first read, from its own equations
+    and those of its closest coarsening spaces only.
     """
     reps_in = list(classes)
     if num_events is None:
@@ -302,91 +330,69 @@ def build_hierarchy(
             orbits[canon] = space_orbit(rep, table)
 
     class_table = _load_class_table(num_events)
-    prelim: list[tuple[HistorySet, HistorySet]] = []  # (canonical, representative)
-    for canon, orbit in orbits.items():
-        if class_table is not None and canon in class_table:
-            prelim.append((canon, class_table[canon][1]))
-        else:
-            prelim.append((canon, canon))
-
-    # metadata needed for numbering
-    ranks: dict[HistorySet, int] = {}
-    dims: dict[HistorySet, int] = {}
-    cf_counts: dict[HistorySet, int] = {}
-    systems: dict[HistorySet, ct.LinearSystem] = {}
-    for canon, rep in prelim:
-        sp = Space(rep)
-        systems[canon] = ct.build_equations(sp)
-        ranks[canon] = ct.rank(systems[canon])
-        dims[canon] = systems[canon].num_columns - ranks[canon] - 1
-        cf_counts[canon] = count_causal_functions(sp)
-
-    if class_table is not None and all(c in class_table for c, _ in prelim):
-        numbered = sorted(prelim, key=lambda cr: class_table[cr[0]][0])
-        ids = [class_table[c][0] for c, _ in numbered]
+    hierarchy = Hierarchy(num_events, {}, {}, {})
+    nodes = [  # (id, representative) from the table, else (-1, canonical form)
+        HierarchyNode(*class_table.get(canon, (-1, canon)), canon, len(orb), hierarchy)
+        for canon, orb in orbits.items()
+    ]
+    if all(canon in class_table for canon in orbits):
+        nodes.sort(key=lambda n: n.class_id)
     else:
-        numbered = sorted(prelim, key=lambda cr: (dims[cr[0]], cf_counts[cr[0]], cr[0]))
-        ids = list(range(len(numbered)))
+        nodes.sort(
+            key=lambda n: (n.causaltope_dim, n.causal_function_count, n.canonical)
+        )
+        for class_id, node in enumerate(nodes):
+            node.class_id = class_id
+    for node in nodes:
+        hierarchy.nodes[node.class_id] = node
+        for s in orbits[node.canonical]:
+            hierarchy.class_of_space[s] = node.class_id
+    for s in sorted(hierarchy.class_of_space):
+        hierarchy.ext_of_space[s] = ext_hset(s)
+    return hierarchy
 
-    nodes: dict[int, HierarchyNode] = {}
-    class_of_space: dict[HistorySet, int] = {}
-    for class_id, (canon, rep) in zip(ids, numbered):
-        nodes[class_id] = HierarchyNode(
-            class_id=class_id,
-            representative=rep,
-            canonical=canon,
-            orbit_size=len(orbits[canon]),
-        )
-        for s in orbits[canon]:
-            class_of_space[s] = class_id
 
-    all_spaces = sorted(class_of_space)
-    exts = {s: ext_hset(s) for s in all_spaces}
-    for class_id, (canon, rep) in zip(ids, numbered):
-        node = nodes[class_id]
-        sp = Space(rep)
-        rep_ext = exts[rep]
-        below = [s for s in all_spaces if exts[s] != rep_ext and is_subset(rep_ext, exts[s])]
-        above = [s for s in all_spaces if exts[s] != rep_ext and is_subset(exts[s], rep_ext)]
-        covered = _frontier(below, exts, reverse=False)
-        covering = _frontier(above, exts, reverse=True)
+def _system_facts(node: HierarchyNode) -> None:
+    """Sets the equation counts, rank, dimension and causal-function count."""
+    sp = Space(node.representative)
+    system = ct.build_equations(sp)
+    node.num_equations = system.num_rows
+    node.num_independent_equations = ct.rank(system)
+    node.causaltope_dim = system.num_columns - node.num_independent_equations - 1
+    node.causal_function_count = count_causal_functions(sp)
 
-        node.closest_refinements = tuple(
-            sorted({class_of_space[s] for s in covered})
-        )
-        node.closest_coarsenings = tuple(
-            sorted({class_of_space[s] for s in covering})
-        )
-        node.is_tight, node.identifications = tightness(sp)
-        node.induced_by_order, node.closest_order_coarsenings = (
-            classify_order_relation(sp)
-        )
-        node.causal_function_count = cf_counts[canon]
-        node.novel_causal_function_count = novel_causal_functions(
-            sp, [Space(s) for s in covered]
-        )
-        system = systems[canon]
-        node.num_equations = system.num_rows
-        node.num_independent_equations = ranks[canon]
-        node.causaltope_dim = dims[canon]
 
-        if covered:
-            acc = exts[covered[0]]
-            for s in covered[1:]:
-                acc &= exts[s]
-            node.is_join_of_refinements = prime(acc).histories == rep
-        if covering:
-            m = Space(covering[0])
-            for s in covering[1:]:
-                m = space_meet(m, Space(s))
-            node.is_meet_of_coarsenings = m.histories == rep
-            stacked = ct.combined_rank(
-                [ct.build_equations(Space(s)) for s in covering]
-            )
-            node.causaltope_dim_of_coarsening_meet = (
-                system.num_columns - stacked - 1
-            )
-    return Hierarchy(num_events, nodes, class_of_space)
+def _analyse(node: HierarchyNode) -> None:
+    """Sets the facts that relate one class to the rest of the hierarchy."""
+    exts, class_of_space = node.hierarchy.ext_of_space, node.hierarchy.class_of_space
+    rep = node.representative
+    sp = Space(rep)
+    rep_ext = exts[rep]
+    below = [s for s, e in exts.items() if e != rep_ext and is_subset(rep_ext, e)]
+    above = [s for s, e in exts.items() if e != rep_ext and is_subset(e, rep_ext)]
+    covered = _frontier(below, exts, reverse=False)
+    covering = _frontier(above, exts, reverse=True)
+
+    node.closest_refinements = tuple(sorted({class_of_space[s] for s in covered}))
+    node.closest_coarsenings = tuple(sorted({class_of_space[s] for s in covering}))
+    node.is_tight, node.identifications = tightness(sp)
+    node.induced_by_order, node.closest_order_coarsenings = classify_order_relation(sp)
+    node.novel_causal_function_count = novel_causal_functions(
+        sp, [Space(s) for s in covered]
+    )
+    node.is_join_of_refinements = bool(covered) and (
+        prime(reduce(and_, (exts[s] for s in covered))).histories == rep
+    )
+    node.is_meet_of_coarsenings = bool(covering) and (
+        reduce(space_meet, map(Space, covering)).histories == rep
+    )
+    node.causaltope_dim_of_coarsening_meet = None
+    if covering:
+        stacked = ct.combined_rank([ct.build_equations(Space(s)) for s in covering])
+        # the dimension of the space cut out by the stacked coarsening systems
+        node.causaltope_dim_of_coarsening_meet = (
+            node.causaltope_dim + node.num_independent_equations - stacked
+        )
 
 
 def _frontier(
@@ -473,19 +479,12 @@ def _order_difference_records(node: HierarchyNode) -> list[dict]:
 def report(space_or_class: Space | int, hierarchy: Hierarchy) -> dict:
     """The report record for a class id or for any space in the hierarchy."""
     if isinstance(space_or_class, Space):
-        canon = canonical_rep(
-            space_or_class.histories, perm_table(hierarchy.num_events)
-        )
-        if canon not in {n.canonical for n in hierarchy.nodes.values()}:
+        if space_or_class.histories not in hierarchy.class_of_space:
             raise ValueError("Space is not part of the hierarchy.")
-        node = next(
-            n for n in hierarchy.nodes.values() if n.canonical == canon
-        )
-    else:
-        if space_or_class not in hierarchy.nodes:
-            raise ValueError(f"Unknown class id {space_or_class}.")
-        node = hierarchy.nodes[space_or_class]
-    return node_record(node, hierarchy)
+        space_or_class = hierarchy.class_of_space[space_or_class.histories]
+    if space_or_class not in hierarchy.nodes:
+        raise ValueError(f"Unknown class id {space_or_class}.")
+    return node_record(hierarchy.nodes[space_or_class], hierarchy)
 
 
 def hierarchy_json(hierarchy: Hierarchy) -> str:

@@ -79,7 +79,7 @@ def _build_hierarchy(num_events: int) -> analysis.Hierarchy:
             f" {MAX_COMPLETE_SEARCH_EVENTS} events."
         )
     classes, _ = enumerate_classes(num_events)
-    return analysis.build_hierarchy(classes, num_events)
+    return analysis._catalogue(classes, num_events)
 
 
 def _write_classes(classes: tuple[HistorySet, ...], args: argparse.Namespace) -> None:

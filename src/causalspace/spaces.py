@@ -94,12 +94,13 @@ def total_assignments(events: Iterable[Event]) -> tuple[History, ...]:
 @lru_cache(maxsize=None)
 def ext_hset(w: HistorySet) -> HistorySet:
     """The join-closure of a history set: all compatible joins of members."""
-    members = set(iter_bitvec(w))
-    frontier = list(members)
+    # joining one member at a time reaches every compatible join
+    gens = tuple(iter_bitvec(w))
+    members, frontier = set(gens), gens
     while frontier:
         fresh = []
         for h in frontier:
-            for k in list(members):
+            for k in gens:
                 u = h | k
                 if u not in members and not (u & (u >> 1) & _EVENT_BITS):
                     members.add(u)

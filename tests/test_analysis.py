@@ -1,4 +1,5 @@
 import json
+from hashlib import sha256
 from itertools import product
 
 import pytest
@@ -294,3 +295,22 @@ def test_hierarchy_exports(hierarchy2):
     assert payload["num_events"] == 2
     assert [c["class_id"] for c in payload["classes"]] == [0, 1, 2]
     assert an.hierarchy_json(hierarchy2) == an.hierarchy_json(hierarchy2)
+
+
+def test_three_event_exports_pinned(hierarchy3):
+    # sha256 of the exports; any change to a class record or an edge shows here
+    assert sha256(an.hierarchy_json(hierarchy3).encode()).hexdigest() == (
+        "8cf2b09dd602cac23a9c55f8a47022cdfbe1007c359118695aead80d20843d4c"
+    )
+    assert sha256(an.hierarchy_dot(hierarchy3).encode()).hexdigest() == (
+        "9cc6d114f0d18b28e2eb3cbb992013388062b47e8c1be54aa17f791aade94483"
+    )
+
+
+def test_lazy_hierarchy_matches_eager(enumeration3, hierarchy3):
+    lazy = an._catalogue(enumeration3[0], 3)
+    assert lazy.class_of_space == hierarchy3.class_of_space
+    # read in an order unlike the numbering, so no class relies on another
+    for class_id in sorted(hierarchy3.nodes, key=lambda i: (i * 37) % 102):
+        assert an.report(class_id, lazy) == an.report(class_id, hierarchy3)
+    assert an.hierarchy_dot(lazy) == an.hierarchy_dot(hierarchy3)

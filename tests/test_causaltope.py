@@ -1,7 +1,10 @@
+import random
+
 import pytest
 import sympy
 
 from causalspace import causaltope as ct
+from causalspace.analysis import CausalFunction, causal_function_set
 from causalspace.orders import hist_space, parse_order
 from causalspace.spaces import Space
 
@@ -136,3 +139,71 @@ def test_combined_rank():
     assert ct.combined_rank([a]) == ct.rank(a)
     with pytest.raises(ValueError):
         ct.combined_rank([a, ct.LinearSystem((), 2)])
+
+
+def _bareiss_rank(rows):
+    """Exact rank by Bareiss fraction-free elimination.
+
+    Each update divides by the previous pivot, and that division is exact.
+    Columns and rows that are zero throughout are dropped first.
+    """
+    width = len(rows[0]) if rows else 0
+    cols = [j for j in range(width) if any(r[j] for r in rows)]
+    m = [[r[j] for j in cols] for r in rows if any(r)]
+    rank, prev = 0, 1
+    for col in range(len(cols)):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank]
+        for i in range(rank + 1, len(m)):
+            r = m[i]
+            m[i] = r[:col] + [
+                (x * p[col] - r[col] * y) // prev for x, y in zip(r[col:], p[col:])
+            ]
+        prev = p[col]
+        rank += 1
+    return rank
+
+
+def test_bareiss_rank_matches_sympy():
+    rng = random.Random(0)
+    for _ in range(100):
+        width, count = rng.randint(1, 10), rng.randint(1, 12)
+        basis = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(rng.randint(1, 6))]
+        rows = [
+            [sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(width)]
+            for _ in range(count)
+        ]
+        assert _bareiss_rank(rows) == sympy.Matrix(rows).rank()
+
+
+def test_causal_functions_are_points_of_the_causaltope(hierarchy3):
+    # deterministic causal functions are points of the causaltope: each
+    # function's 0/1 model nulls every row, and a seeded sample of them
+    # spans an affine hull no larger than the causaltope
+    for class_id, node in sorted(hierarchy3.nodes.items()):
+        space = Space(node.representative)
+        system = ct.build_equations(space)
+        n = system.num_events
+        assert all(v in (-1, 0, 1) for row in system.rows for v in row)
+        # a row applied to a 0/1 model: its +1 columns hit minus its -1 columns hit
+        signs = [
+            (sum(1 << c for c, v in enumerate(row) if v == 1),
+             sum(1 << c for c, v in enumerate(row) if v == -1))
+            for row in system.rows
+        ]
+        functions = sorted(causal_function_set(space))
+        sample = random.Random(class_id).sample(functions, min(100, len(functions)))
+        points = []
+        for packed in sample:
+            table = CausalFunction.from_packed(packed, n).table
+            model = sum(1 << ((i << n) | o) for i, o in enumerate(table))
+            assert all(
+                (model & plus).bit_count() == (model & minus).bit_count()
+                for plus, minus in signs
+            ), class_id
+            points.append([(model >> c) & 1 for c in range(system.num_columns)])
+        differences = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+        assert _bareiss_rank(differences) <= node.causaltope_dim, class_id

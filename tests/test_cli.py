@@ -3,9 +3,11 @@ import os
 
 import pytest
 
-from causalspace import cli
+from causalspace import causaltope, cli
 from causalspace.cli import main
+from causalspace.encoding import is_subset
 from causalspace.enumerator import SpaceFinder, read_hsets
+from causalspace.spaces import ext_hset
 
 
 @pytest.fixture(autouse=True)
@@ -106,6 +108,45 @@ def test_classify_space_literal(capsys):
 
 def test_classify_unknown_class(capsys):
     assert main(["classify", "--events", "2", "--class-id", "9"]) == 2
+
+
+def test_classify_space_outside_hierarchy(capsys):
+    # a complete 3-event space is no member of the 2-event hierarchy
+    assert main(["classify", "--events", "2", "--space", "4295033110"]) == 2
+    assert capsys.readouterr().err == "classify: Space is not part of the hierarchy.\n"
+
+
+def _count_build_equations(monkeypatch):
+    calls = []
+    build = causaltope.build_equations
+
+    def counted(space, **kwargs):
+        calls.append(space.histories)
+        return build(space, **kwargs)
+
+    monkeypatch.setattr(causaltope, "build_equations", counted)
+    return calls
+
+
+@pytest.mark.parametrize("class_id", [3, 17, 100])
+def test_classify_class_id_analyses_only_its_class(capsys, monkeypatch, hierarchy3, class_id):
+    calls = _count_build_equations(monkeypatch)
+    assert main(["classify", "--events", "3", "--class-id", str(class_id)]) == 0
+    assert json.loads(capsys.readouterr().out)["class_id"] == class_id
+    # its own system, and one per closest coarsening space for the
+    # dimension of their meet; 505 when every class is analysed
+    rep_ext = ext_hset(hierarchy3.nodes[class_id].representative)
+    above = {ext_hset(s) for s in hierarchy3.class_of_space}
+    above = {e for e in above if e != rep_ext and is_subset(e, rep_ext)}
+    covering = [e for e in above if not any(f != e and is_subset(e, f) for f in above)]
+    assert len(calls) <= 1 + len(covering) <= 9
+
+
+def test_causaltope_class_id_builds_one_system(capsys, monkeypatch):
+    calls = _count_build_equations(monkeypatch)
+    assert main(["causaltope", "--events", "3", "--class-id", "17"]) == 0
+    assert capsys.readouterr().out.startswith("000|000,")
+    assert len(calls) == 1
 
 
 def test_causaltope_unknown_class(capsys):

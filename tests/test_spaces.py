@@ -7,7 +7,9 @@ from causalspace.encoding import (
     bitvec,
     history,
     is_subset,
+    max_histories,
     popcount,
+    sub_histories,
 )
 from causalspace.orders import (
     discrete_order,
@@ -42,6 +44,22 @@ def test_ext_examples():
     assert sp.ext(TOTAL3) == TOTAL3.histories  # closed space
     two = space_of("A/0", "A/1", "B/0", "B/1")
     assert popcount(sp.ext(two)) == 8  # adds the four total assignments
+
+
+@given(st.sets(st.sampled_from(sorted(sub_histories(max_histories(3)))), max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_ext_hset_is_every_compatible_join(members):
+    # brute force over every subset of the members
+    hs = sorted(members)
+    expected = set()
+    for mask in range(1, 1 << len(hs)):
+        u = 0
+        for i, h in enumerate(hs):
+            if mask >> i & 1:
+                u |= h
+        if all(not (u >> (2 * e) & 1 and u >> (2 * e + 1) & 1) for e in range(3)):
+            expected.add(u)
+    assert sp.ext_hset(bitvec(members)) == bitvec(expected)
 
 
 def test_ext_idempotent_and_monotone():
