@@ -22,7 +22,6 @@ from .encoding import (
     format_hset,
     history,
     history_sort_key,
-    hset,
     hset_members,
     is_subset,
     iter_bitvec,

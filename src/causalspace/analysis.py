@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from importlib import resources
 from operator import and_
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from . import causaltope as ct
 from .encoding import (
@@ -43,6 +43,7 @@ from .orders import (
 )
 from .spaces import (
     Space,
+    _frontier,
     determination_classes,
     ext,
     ext_hset,
@@ -395,32 +396,10 @@ def _analyse(node: HierarchyNode) -> None:
         )
 
 
-def _frontier(
-    candidates: list[HistorySet], exts: Mapping[HistorySet, int], *, reverse: bool
-) -> list[HistorySet]:
-    """Maximal (or minimal, when ``reverse``) elements of a refinement set.
-
-    Candidates closest to the reference space come first when sorted by
-    closure size, so a linear sweep against the kept frontier suffices.
-    """
-    ordered = sorted(
-        candidates, key=lambda s: exts[s].bit_count(), reverse=reverse
-    )
-    kept: list[HistorySet] = []
-    for s in ordered:
-        if reverse:
-            if not any(is_subset(exts[s], exts[m]) for m in kept):
-                kept.append(s)
-        else:
-            if not any(is_subset(exts[m], exts[s]) for m in kept):
-                kept.append(s)
-    return kept
-
-
 # -- report records ---------------------------------------------------------
 
 
-def node_record(node: HierarchyNode, hierarchy: Hierarchy) -> dict:
+def node_record(node: HierarchyNode) -> dict:
     """JSON-ready record for one class, with deterministic key order."""
     return {
         "class_id": node.class_id,
@@ -484,13 +463,13 @@ def report(space_or_class: Space | int, hierarchy: Hierarchy) -> dict:
         space_or_class = hierarchy.class_of_space[space_or_class.histories]
     if space_or_class not in hierarchy.nodes:
         raise ValueError(f"Unknown class id {space_or_class}.")
-    return node_record(hierarchy.nodes[space_or_class], hierarchy)
+    return node_record(hierarchy.nodes[space_or_class])
 
 
 def hierarchy_json(hierarchy: Hierarchy) -> str:
     """Deterministic JSON dump of all class records."""
     records = [
-        node_record(hierarchy.nodes[i], hierarchy)
+        node_record(hierarchy.nodes[i])
         for i in sorted(hierarchy.nodes)
     ]
     return json.dumps(

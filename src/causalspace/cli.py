@@ -90,17 +90,25 @@ def _write_classes(classes: tuple[HistorySet, ...], args: argparse.Namespace) ->
         write_hsets(f, classes)
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def _search_never_saves(args: argparse.Namespace) -> bool:
+    """Whether a search that cannot finish lacks checkpoints; prints why if so."""
     if (
         MAX_COMPLETE_SEARCH_EVENTS < args.events <= MAX_SEARCH_EVENTS
         and args.save_period is None
     ):
+        state_hint = " (and optionally --state)" if args.command == "enumerate" else ""
         print(
-            f"enumerate: --events {args.events} needs --save-period (and optionally"
-            " --state): the search does not finish in one run, and without"
-            " periodic checkpoints it writes nothing until it ends.",
+            f"{args.command}: --events {args.events} needs --save-period{state_hint}:"
+            " the search does not finish in one run, and without periodic"
+            " checkpoints it writes nothing until it ends.",
             file=sys.stderr,
         )
+        return True
+    return False
+
+
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    if _search_never_saves(args):
         return 2
     state_file = args.state
     if state_file is None and args.save_period is not None:
@@ -116,17 +124,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"enumerate: {exc}", file=sys.stderr)
         return 2
-    try:
-        finder.blank_state()
-        finder.find_eq_classes()
-        _write_classes(tuple(finder.iter_eq_classes), args)
-    except OSError as exc:
-        print(f"enumerate: {exc}", file=sys.stderr)
-        return 1
+    finder.blank_state()
+    finder.find_eq_classes()
+    _write_classes(tuple(finder.iter_eq_classes), args)
     return 0
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
+    if _search_never_saves(args):
+        return 2
     try:
         finder = SpaceFinder(
             args.events,
@@ -141,7 +147,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
     except CorruptStateError as exc:
         print(f"resume: corrupt state file: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"resume: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -288,7 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -73,11 +73,6 @@ def iter_bitvec(u: Bitvec) -> Iterator[int]:
         u ^= low
 
 
-def popcount(u: Bitvec) -> int:
-    """Number of elements in a bitvector."""
-    return u.bit_count()
-
-
 def event_to_idx(e: Event) -> int:
     """Index of an event letter: ``"A"`` is 0, ..., ``"Z"`` is 25."""
     idx = ord(e) - ord("A")
@@ -176,18 +171,23 @@ def history_sort_key(h: History) -> tuple[int, tuple[int, ...]]:
     return (len(items), items)
 
 
-def max_histories(num_events: int) -> tuple[History, ...]:
-    """All total assignments on the first ``num_events`` events.
+def total_assignments(events: Iterable[Event]) -> tuple[History, ...]:
+    """All total assignments on the given events.
 
     Assignments are produced in lexicographic input order, with the input
-    at event ``"A"`` varying slowest.
+    at the first event varying slowest.
     """
+    evs = tuple(sorted(set(events)))
+    return tuple(
+        history(zip(evs, values)) for values in product((0, 1), repeat=len(evs))
+    )
+
+
+def max_histories(num_events: int) -> tuple[History, ...]:
+    """All total assignments on the first ``num_events`` events."""
     if not 1 <= num_events <= MAX_EVENTS:
         raise ValueError(f"Number of events must be 1-{MAX_EVENTS}.")
-    return tuple(
-        bitvec(2 * e + v for e, v in enumerate(choice))
-        for choice in product((0, 1), repeat=num_events)
-    )
+    return total_assignments(map(idx_to_event, range(num_events)))
 
 
 def child_histories(h: History) -> tuple[History, ...]:
@@ -255,11 +255,6 @@ def parse_history(text: str) -> History:
     return history(items)
 
 
-def hset(histories: Iterable[History]) -> HistorySet:
-    """Packs a collection of histories into a history-set bitvector."""
-    return bitvec(histories)
-
-
 def hset_members(s: HistorySet) -> tuple[History, ...]:
     """Unpacks a history set, sorted first by length and then by content."""
     return tuple(sorted(iter_bitvec(s), key=history_sort_key))
@@ -290,4 +285,4 @@ def parse_hset(text: str) -> HistorySet:
     if not body.strip():
         return 0
     sep = ";" if ";" in body else ","
-    return hset(parse_history(part) for part in body.split(sep))
+    return bitvec(parse_history(part) for part in body.split(sep))

@@ -311,15 +311,24 @@ class SpaceFinder:
             if f.read(1):
                 raise CorruptStateError("Trailing bytes after state data.")
         self._validate_state(state)
-        self._state = state
-        self._rebuild_seen()
+        seen, num_spaces = self._seen_keys(state)
+        if num_spaces != state.num_spaces:
+            raise ValueError(
+                f"State counts {state.num_spaces} spaces, but its classes"
+                f" hold {num_spaces}."
+            )
+        self._state, self._seen = state, seen
 
-    def _rebuild_seen(self) -> None:
-        state = self.state
-        self._seen = {
-            min(self._table.dense_images(iter_bitvec(s)))
-            for s in chain(state.partial_spaces_visited, state.eq_classes)
-        }
+    def _seen_keys(self, state: SearchState) -> tuple[set[bytes], int]:
+        """The canonical dense keys of a state, and the spaces its classes hold."""
+        dense_images = self._table.dense_images
+        seen = {min(dense_images(iter_bitvec(s))) for s in state.partial_spaces_visited}
+        num_spaces = 0
+        for s in state.eq_classes:
+            imgs = dense_images(iter_bitvec(s))
+            seen.add(min(imgs))
+            num_spaces += len(set(imgs))
+        return seen, num_spaces
 
     def _validate_state(self, state: SearchState) -> None:
         n = self._num_events
@@ -335,7 +344,12 @@ class SpaceFinder:
                     f"State holds histories outside the range of {n} events."
                 )
         if state.num_todo == 0:
-            if state.num_done or state.child_choices_list or state.eq_classes:
+            if (
+                state.num_done
+                or state.child_choices_list
+                or state.eq_classes
+                or state.partial_spaces_visited
+            ):
                 raise ValueError("State has progress but no top-level plan.")
             return
         if n == 1:
@@ -403,7 +417,7 @@ class SpaceFinder:
             num_bytes_written += _write_state_atomic(state, backup)
         if self._verbose:
             message.append(f"done ({memory_str(num_bytes_written)} written).")
-            self._print(" ".join(message))
+            self._print_fn(" ".join(message))
         return num_bytes_written
 
     def _save_state(self) -> None:
@@ -512,12 +526,9 @@ class SpaceFinder:
 
     # -- status output ----------------------------------------------------
 
-    def _print(self, line: str) -> None:
-        self._print_fn(line)
-
     def _print_status_header(self) -> None:
         if self._verbose:
-            self._print(
+            self._print_fn(
                 f"{'time': >10} {'spaces': >12} {'eq. cls': >10}"
                 f" {'memory': >10} {'completed': >10}"
                 f" {'fts compl.': >10} {'vts compl.': >10}"
@@ -534,11 +545,11 @@ class SpaceFinder:
                 f" {self.fixed_toplevel_subsets_perc_completed: >10.4%}"
                 f" {self.var_toplevel_subsets_perc_completed: >10.4%}"
             )
-            self._print(line)
+            self._print_fn(line)
 
     def _describe(self) -> None:
         if self._verbose:
-            self._print(
+            self._print_fn(
                 f"Found {self.num_spaces} spaces in "
                 f"{self.num_eq_classes} equivalence classes."
             )
@@ -552,7 +563,7 @@ class SpaceFinder:
         if self._update_period is not None:
             self._print_status_line()
         self.state.partial_spaces_visited.clear()
-        self._rebuild_seen()
+        self._seen, _ = self._seen_keys(self.state)
         self._save_state()
         self._describe()
 
@@ -669,15 +680,11 @@ class SpaceFinder:
         """
         hs_still_to_cover = set(hs) - hs_already_covered
         child_subset = set(children_already_chosen)
-        idx = 0
-        while child_subset_bitvec > 0:
-            child_subset_bitvec, b = divmod(child_subset_bitvec, 2)
-            if b:
-                k = child_hists[idx]
-                child_subset.add(k)
-                if hs_still_to_cover:
-                    hs_still_to_cover -= self._parents[k]
-            idx += 1
+        for idx in iter_bitvec(child_subset_bitvec):
+            k = child_hists[idx]
+            child_subset.add(k)
+            if hs_still_to_cover:
+                hs_still_to_cover -= self._parents[k]
         if not hs_still_to_cover:
             return child_subset
         return None
@@ -702,7 +709,7 @@ class SpaceFinder:
                 remaining = (all_children,)
                 num_todo = 1 << len(all_children)
                 if self._verbose:
-                    self._print(
+                    self._print_fn(
                         f"Brute-forcing complexity: {num_todo}"
                         " top-level child history subsets."
                     )
@@ -723,7 +730,7 @@ class SpaceFinder:
         state = self.state
         choices, remaining_list = self._toplevel_plan(hs)
         if self._verbose:
-            self._print(
+            self._print_fn(
                 f"Iterating over {state.num_todo} top-level child history subsets."
             )
         self._print_status_header()
@@ -837,7 +844,7 @@ class SpaceFinder:
         """
         child_hists_set = {k for h in hs for k in self._children[h]}
         if self._verbose:
-            self._print(
+            self._print_fn(
                 f"Brute-forcing complexity: {1 << len(child_hists_set)}"
                 " top-level child history subsets."
             )

@@ -31,9 +31,10 @@ from .encoding import (
     Event,
     HistorySet,
     bitvec,
-    history,
     idx_to_event,
+    is_subset,
     iter_bitvec,
+    total_assignments,
 )
 
 
@@ -59,15 +60,12 @@ class CausalOrder:
     below: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.events)
         if tuple(sorted(set(self.events))) != self.events:
             raise ValueError("Events must be sorted and not repeated.")
-        for i in range(n):
-            if not self.below[i] & (1 << i):
-                raise ValueError("Causal relation must be reflexive.")
-            for j in iter_bitvec(self.below[i]):
-                if not is_mask_subset(self.below[j], self.below[i]):
-                    raise ValueError("Causal relation must be transitive.")
+        if any(not self.below[i] & (1 << i) for i in range(len(self.events))):
+            raise ValueError("Causal relation must be reflexive.")
+        if not _is_transitive(self.below):
+            raise ValueError("Causal relation must be transitive.")
 
     def index(self, e: Event) -> int:
         return self.events.index(e)
@@ -78,10 +76,6 @@ class CausalOrder:
 
     def __str__(self) -> str:
         return format_order(self)
-
-
-def is_mask_subset(u: int, v: int) -> bool:
-    return u == u & v
 
 
 def _closure(events: tuple[Event, ...], below: list[int]) -> CausalOrder:
@@ -199,7 +193,7 @@ def lowerset_masks(order: CausalOrder) -> tuple[int, ...]:
     n = len(order.events)
     out = []
     for mask in range(1 << n):
-        if all(is_mask_subset(order.below[i], mask) for i in iter_bitvec(mask)):
+        if all(is_subset(order.below[i], mask) for i in iter_bitvec(mask)):
             out.append(mask)
     return tuple(sorted(out, key=lambda m: (m.bit_count(), m)))
 
@@ -259,13 +253,6 @@ def extend_order(order: CausalOrder, events: Iterable[Event]) -> CausalOrder:
     return CausalOrder(evs, tuple(below))
 
 
-def _assignments_hset(events: Sequence[Event]) -> tuple[int, ...]:
-    """All total assignments on the given events, as histories."""
-    return tuple(
-        history(zip(events, values)) for values in product((0, 1), repeat=len(events))
-    )
-
-
 @lru_cache(maxsize=None)
 def hist_space(order: CausalOrder) -> HistorySet:
     """The input histories induced by an order.
@@ -275,8 +262,7 @@ def hist_space(order: CausalOrder) -> HistorySet:
     """
     members: set[int] = set()
     for e in order.events:
-        past = tuple(sorted(causal_past(order, e)))
-        members.update(_assignments_hset(past))
+        members.update(total_assignments(causal_past(order, e)))
     return bitvec(members)
 
 
@@ -290,8 +276,9 @@ def ext_hist_space(order: CausalOrder) -> HistorySet:
     for mask in lowerset_masks(order):
         if mask == 0:
             continue
-        evs = tuple(order.events[i] for i in iter_bitvec(mask))
-        members.update(_assignments_hset(evs))
+        members.update(
+            total_assignments(order.events[i] for i in iter_bitvec(mask))
+        )
     return bitvec(members)
 
 
@@ -318,7 +305,7 @@ def all_orders(num_events: int) -> tuple[CausalOrder, ...]:
 def _is_transitive(below: Sequence[int]) -> bool:
     for i in range(len(below)):
         for j in iter_bitvec(below[i]):
-            if not is_mask_subset(below[j], below[i]):
+            if not is_subset(below[j], below[i]):
                 return False
     return True
 

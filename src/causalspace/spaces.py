@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .encoding import (
     _EVENT_BITS,
@@ -23,6 +22,7 @@ from .encoding import (
     event_mask,
     format_hset,
     history,
+    history_items,
     history_sort_key,
     hset_members,
     idx_to_event,
@@ -30,6 +30,7 @@ from .encoding import (
     is_valid_history,
     iter_bitvec,
     parse_hset,
+    total_assignments,
 )
 from .enumerator import MAX_COMPLETE_SEARCH_EVENTS, enumerate_classes
 from .symmetry import perm_table, space_orbit
@@ -81,14 +82,6 @@ def _events_mask(w: HistorySet) -> int:
     for h in iter_bitvec(w):
         mask |= event_mask(h)
     return mask
-
-
-def total_assignments(events: Iterable[Event]) -> tuple[History, ...]:
-    """All total assignments on the given events, in input order."""
-    evs = tuple(sorted(set(events)))
-    return tuple(
-        history(zip(evs, values)) for values in product((0, 1), repeat=len(evs))
-    )
 
 
 @lru_cache(maxsize=None)
@@ -351,26 +344,37 @@ def causal_completions(space: Space) -> tuple[Space, ...]:
     to_global = {v: k for k, v in to_local.items()}
     local = relabel_space(space, to_local)
     target_ext = ext(local)
-    candidates = [
-        s
-        for s in _all_complete_hsets(len(evs))
-        if is_subset(target_ext, ext_hset(s))
-    ]
-    exts = {s: ext_hset(s) for s in candidates}
-    maximal = [
-        s
-        for s in candidates
-        if not any(o != s and is_subset(exts[o], exts[s]) for o in candidates)
-    ]
-    out = [relabel_space(Space(s), to_global) for s in sorted(maximal)]
-    return tuple(out)
+    exts = {s: ext_hset(s) for s in _all_complete_hsets(len(evs))}
+    candidates = [s for s, e in exts.items() if is_subset(target_ext, e)]
+    closest = _frontier(candidates, exts, reverse=False)
+    return tuple(relabel_space(Space(s), to_global) for s in sorted(closest))
+
+
+def _frontier(
+    candidates: list[HistorySet], exts: Mapping[HistorySet, int], *, reverse: bool
+) -> list[HistorySet]:
+    """Maximal (or minimal, when ``reverse``) elements of a refinement set.
+
+    Candidates closest to the reference space come first when sorted by
+    closure size, so a linear sweep against the kept frontier suffices.
+    """
+    ordered = sorted(
+        candidates, key=lambda s: exts[s].bit_count(), reverse=reverse
+    )
+    kept: list[HistorySet] = []
+    for s in ordered:
+        if reverse:
+            if not any(is_subset(exts[s], exts[m]) for m in kept):
+                kept.append(s)
+        else:
+            if not any(is_subset(exts[m], exts[s]) for m in kept):
+                kept.append(s)
+    return kept
 
 
 def relabel_history(h: History, mapping: Mapping[Event, Event]) -> History:
     """Renames the events of a history."""
-    return history(
-        {mapping.get(e, e): v for e, v in ((idx_to_event(i // 2), i % 2) for i in iter_bitvec(h))}
-    )
+    return history({mapping.get(e, e): v for e, v in history_items(h)})
 
 
 def relabel_space(space: Space, mapping: Mapping[Event, Event]) -> Space:

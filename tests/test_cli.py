@@ -47,16 +47,46 @@ def test_enumerate_rejects_bad_event_count(capsys, argv):
     assert capsys.readouterr().err.startswith("enumerate: ")
 
 
-@pytest.mark.parametrize("with_state", [False, True], ids=["bare", "state"])
-def test_enumerate_four_events_needs_save_period(capsys, monkeypatch, state_dir, with_state):
+@pytest.mark.parametrize(
+    "command, with_state",
+    [("enumerate", False), ("enumerate", True), ("resume", True)],
+    ids=["bare", "state", "resume"],
+)
+def test_enumerate_four_events_needs_save_period(
+    capsys, monkeypatch, state_dir, command, with_state
+):
     def no_search(*args, **kwargs):
         raise AssertionError("the search was started")
 
     monkeypatch.setattr(cli, "SpaceFinder", no_search)
     argv = ["--state", str(state_dir / "run4.state")] if with_state else []
-    assert main(["enumerate", "--events", "4", "--quiet", *argv]) == 2
-    assert capsys.readouterr().err.startswith("enumerate: --events 4 needs --save-period")
+    assert main([command, "--events", "4", "--quiet", *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"{command}: --events 4 needs --save-period")
     assert not os.listdir(state_dir)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--events", "2", "--quiet"],
+        ["resume", "--events", "2", "--quiet"],
+        ["classify", "--events", "2", "--class-id", "0"],
+        ["hierarchy", "--events", "2"],
+        ["causaltope", "--events", "2", "--class-id", "0"],
+        ["orders", "--events", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_is_reported(capsys, state_dir, argv):
+    if argv[0] == "resume":
+        state = str(state_dir / "n2.state")
+        finder = SpaceFinder(2, verbose=False, filename=state)
+        finder.blank_state()
+        finder.find_eq_classes()
+        argv = [*argv, "--state", state]
+    missing = str(state_dir / "missing" / "out")
+    assert main([*argv, "--output", missing]) == 1
+    assert capsys.readouterr().err.startswith(f"{argv[0]}: [Errno 2]")
 
 
 def test_enumerate_with_checkpoint_and_resume(capsys, state_dir):

@@ -153,9 +153,9 @@ def test_history_literals_roundtrip():
 
 
 def test_hset_literals():
-    s = enc.hset([enc.history({"A": 0}), enc.history({"A": 1, "B": 0})])
+    s = enc.bitvec([enc.history({"A": 0}), enc.history({"A": 1, "B": 0})])
     assert enc.parse_hset(enc.format_hset(s)) == s
     assert enc.parse_hset(str(s)) == s
-    assert enc.parse_hset("[A/0, A/1]") == enc.hset(
+    assert enc.parse_hset("[A/0, A/1]") == enc.bitvec(
         [enc.history({"A": 0}), enc.history({"A": 1})]
     )

@@ -6,6 +6,8 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from causalspace import enumerator as en
 from causalspace.encoding import bitvec, history, max_histories
@@ -309,6 +311,54 @@ def test_load_state_rejects_out_of_range_subset_position(tmp_path):
         else:
             with pytest.raises(ValueError):
                 en.SpaceFinder(3, verbose=False).load_state(path)
+
+
+def test_load_state_rejects_visited_spaces_without_plan(tmp_path):
+    path = str(tmp_path / "state.bin")
+    visited = bitvec(max_histories(3))
+    with open(path, "wb") as f:
+        en.write_state(en.SearchState(partial_spaces_visited={visited: None}), f)
+    with pytest.raises(ValueError, match="no top-level plan"):
+        en.SpaceFinder(3, verbose=False).load_state(path)
+
+
+def test_corrupted_checkpoints_fail_cleanly(tmp_path):
+    path = str(tmp_path / "state.bin")
+    finder = en.SpaceFinder(3, verbose=False)
+    finder.blank_state()
+    for _ in islice(finder.iter_find_eq_classes(), 40):
+        pass
+    finder.save_state(path, save_backup=False)
+    data = Path(path).read_bytes()
+    loader = en.SpaceFinder(3, verbose=False)
+
+    def load(blob):
+        Path(path).write_bytes(blob)
+        loader.load_state(path)
+
+    def flipped(bit):
+        blob = bytearray(data)
+        blob[bit // 8] ^= 1 << (bit % 8)
+        return bytes(blob)
+
+    for size in range(len(data)):
+        with pytest.raises(en.CorruptStateError):
+            load(data[:size])
+    # the first 8 bytes hold num_spaces
+    for bit in range(64):
+        with pytest.raises(ValueError, match="spaces"):
+            load(flipped(bit))
+
+    @seed(2644)
+    @settings(max_examples=600, deadline=None)
+    @given(st.integers(0, 8 * len(data) - 1))
+    def flip_loads_or_fails_cleanly(bit):
+        try:
+            load(flipped(bit))
+        except (en.CorruptStateError, ValueError):
+            pass
+
+    flip_loads_or_fails_cleanly()
 
 
 def test_load_state_rejects_sets_of_non_histories(tmp_path):

@@ -8,15 +8,17 @@ from causalspace.encoding import (
     history,
     is_subset,
     max_histories,
-    popcount,
     sub_histories,
 )
+from causalspace.enumerator import enumerate_classes
 from causalspace.orders import (
+    all_orders,
     discrete_order,
     hist_space,
     parse_order,
     total_order,
 )
+from causalspace.symmetry import perm_table, space_orbit
 
 
 def H(text):
@@ -40,10 +42,10 @@ def test_space_constructor_rejects_non_prime():
 
 
 def test_ext_examples():
-    assert popcount(sp.ext(DISCRETE3)) == 26
+    assert sp.ext(DISCRETE3).bit_count() == 26
     assert sp.ext(TOTAL3) == TOTAL3.histories  # closed space
     two = space_of("A/0", "A/1", "B/0", "B/1")
-    assert popcount(sp.ext(two)) == 8  # adds the four total assignments
+    assert sp.ext(two).bit_count() == 8  # adds the four total assignments
 
 
 @given(st.sets(st.sampled_from(sorted(sub_histories(max_histories(3)))), max_size=8))
@@ -173,8 +175,8 @@ def test_seq_compose_copies():
     seq = sp.seq_compose(left, right)
     # one copy of the 6-history right space after each of the 4 maximal
     # extended histories, plus the left space itself
-    assert popcount(seq.histories) == popcount(left.histories) + 4 * popcount(
-        right.histories
+    assert seq.histories.bit_count() == (
+        left.histories.bit_count() + 4 * right.histories.bit_count()
     )
 
 
@@ -185,7 +187,7 @@ def test_cond_seq_compose_switch():
     switch = sp.cond_seq_compose(head, {H("A/0"): bc, H("A/1"): cb})
     assert sp.is_causally_complete(switch)
     assert sp.ext(switch) == switch.histories
-    assert popcount(switch.histories) == 14
+    assert switch.histories.bit_count() == 14
     with pytest.raises(ValueError):
         sp.cond_seq_compose(head, {H("A/0"): bc})
 
@@ -240,6 +242,26 @@ def test_causal_completions_of_indefinite_pair():
 def test_causal_completions_of_complete_space():
     assert sp.causal_completions(TOTAL3) == (TOTAL3,)
     assert sp.causal_completions(DISCRETE3) == (DISCRETE3,)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_causal_completions_of_order_spaces_match_quadratic_filter(n):
+    # every complete space on n events; keep those refining the order's
+    # space, then drop any with a strictly smaller closure among them
+    table = perm_table(n)
+    complete = {s for rep in enumerate_classes(n)[0] for s in space_orbit(rep, table)}
+    for o in all_orders(n):
+        space = sp.Space(hist_space(o))
+        target = sp.ext(space)
+        refining = [s for s in complete if is_subset(target, sp.ext_hset(s))]
+        closest = sorted(
+            s
+            for s in refining
+            if not any(
+                t != s and is_subset(sp.ext_hset(t), sp.ext_hset(s)) for t in refining
+            )
+        )
+        assert [c.histories for c in sp.causal_completions(space)] == closest
 
 
 def test_causal_completions_reject_incomplete_space_beyond_three_events():
