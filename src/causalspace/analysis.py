@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from functools import reduce
 from importlib import resources
-from operator import and_
+from operator import and_, or_
 from typing import Iterable, Optional
 
 from . import causaltope as ct
@@ -23,13 +23,11 @@ from .encoding import (
     Event,
     History,
     HistorySet,
-    event_to_idx,
     format_history,
     history_items,
     history_sort_key,
     hset_members,
     is_subset,
-    iter_bitvec,
 )
 from .orders import (
     CausalOrder,
@@ -43,15 +41,13 @@ from .orders import (
 )
 from .spaces import (
     Space,
+    _determination,
     _frontier,
     determination_classes,
     ext,
     ext_hset,
-    prime,
-    space_meet,
+    prime_hset,
     tightness,
-    tip,
-    total_assignments,
 )
 from .symmetry import canonical_rep, perm_table, space_orbit
 
@@ -65,38 +61,10 @@ def count_causal_functions(space: Space) -> int:
     return 1 << len(determination_classes(space))
 
 
-def _function_masks(space: Space) -> list[int]:
-    """Per-class bit masks over (input index, event) output cells.
-
-    The table of a causal function is packed into an integer with bit
-    ``input_index * n + (n - 1 - event_position)`` holding the output at
-    that event; each determination class controls a fixed, disjoint set of
-    those bits.
-    """
-    evs = tuple(sorted(space.events))
-    n = len(evs)
-    pos = {e: i for i, e in enumerate(evs)}
-    classes = determination_classes(space)
-    class_of: dict[History, int] = {}
-    for c, group in enumerate(classes):
-        for h in group:
-            class_of[h] = c
-    members = hset_members(space.histories)
-    tip_of = {h: tip(space, h) for h in members}
-    masks = [0] * len(classes)
-    for input_idx, k in enumerate(total_assignments(evs)):
-        for h in members:
-            if is_subset(h, k):
-                masks[class_of[h]] |= 1 << (
-                    input_idx * n + (n - 1 - pos[tip_of[h]])
-                )
-    return masks
-
-
 def causal_function_set(space: Space) -> frozenset[int]:
     """All causal functions of a space, as packed output tables."""
     tables = [0]
-    for mask in _function_masks(space):
+    for _, mask in _determination(space):
         tables += [t | mask for t in tables]
     return frozenset(tables)
 
@@ -291,9 +259,7 @@ def diff_from_order(space: Space, order: CausalOrder) -> tuple[OrderDifference, 
     return tuple(out)
 
 
-def build_hierarchy(
-    classes: Iterable[HistorySet], num_events: Optional[int] = None
-) -> Hierarchy:
+def build_hierarchy(classes: Iterable[HistorySet], num_events: int) -> Hierarchy:
     """Computes the condensed hierarchy for enumerated class representatives.
 
     Classes are numbered by the pinned catalogue table when one is shipped
@@ -308,24 +274,16 @@ def build_hierarchy(
     return hierarchy
 
 
-def _catalogue(classes: Iterable[HistorySet], num_events: Optional[int]) -> Hierarchy:
+def _catalogue(classes: Iterable[HistorySet], num_events: int) -> Hierarchy:
     """The hierarchy's catalogue: ids, orbits and join-closures.
 
     Each class's facts are computed on first read, from its own equations
     and those of its closest coarsening spaces only.
     """
-    reps_in = list(classes)
-    if num_events is None:
-        num_events = max(
-            event_to_idx(e) + 1
-            for rep in reps_in
-            for h in iter_bitvec(rep)
-            for e, _ in history_items(h)
-        )
     table = perm_table(num_events)
 
     orbits: dict[HistorySet, tuple[HistorySet, ...]] = {}
-    for rep in reps_in:
+    for rep in classes:
         canon = canonical_rep(rep, table)
         if canon not in orbits:
             orbits[canon] = space_orbit(rep, table)
@@ -381,11 +339,12 @@ def _analyse(node: HierarchyNode) -> None:
     node.novel_causal_function_count = novel_causal_functions(
         sp, [Space(s) for s in covered]
     )
+    # the prime part of a union of closures is that of its join-closure
     node.is_join_of_refinements = bool(covered) and (
-        prime(reduce(and_, (exts[s] for s in covered))).histories == rep
+        prime_hset(reduce(and_, (exts[s] for s in covered))) == rep
     )
     node.is_meet_of_coarsenings = bool(covering) and (
-        reduce(space_meet, map(Space, covering)).histories == rep
+        prime_hset(reduce(or_, (exts[s] for s in covering))) == rep
     )
     node.causaltope_dim_of_coarsening_meet = None
     if covering:

@@ -3,7 +3,8 @@
 A standard empirical model assigns a probability to every (joint input,
 joint output) pair, giving ``2**(2n)`` entries on ``n`` events; the column
 for inputs ``i`` and outputs ``o`` is indexed as the ``2n``-bit word ``i o``
-with the first event's bit most significant.
+with the first event's bit most significant, so joint input ``i`` is the
+``i``-th total assignment of ``total_assignments``.
 
 Two homogeneous row families cut out the models compatible with a space:
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Literal, Sequence
 
-from .encoding import domsize, history_items, hset_members, is_subset
+from .encoding import domsize, history_items, hset_members, is_subset, total_assignments
 from .spaces import Space, ext, is_causally_complete
 
 
@@ -44,13 +45,6 @@ class LinearSystem:
         return len(self.rows)
 
 
-def _input_index(k: int, pos: dict[str, int], n: int) -> int:
-    idx = 0
-    for e, v in history_items(k):
-        idx |= v << (n - 1 - pos[e])
-    return idx
-
-
 def build_equations(
     space: Space, *, pairs: Literal["consecutive", "all"] = "consecutive"
 ) -> LinearSystem:
@@ -67,8 +61,7 @@ def build_equations(
     n = len(evs)
     pos = {e: i for i, e in enumerate(evs)}
     num_cols = 1 << (2 * n)
-    ext_members = hset_members(ext(space))
-    maximal = [h for h in ext_members if domsize(h) == n]
+    inputs = total_assignments(evs)
     rows: list[tuple[int, ...]] = []
 
     def pair_indices(count: int) -> Iterable[tuple[int, int]]:
@@ -76,14 +69,13 @@ def build_equations(
             return ((j, j + 1) for j in range(count - 1))
         return ((a, b) for a in range(count) for b in range(a + 1, count))
 
-    for h in ext_members:
+    for h in hset_members(ext(space)):
         d = domsize(h)
         if d == n:
             continue
         dom_positions = [pos[e] for e, _ in history_items(h)]
         comp_positions = [p for p in range(n) if p not in dom_positions]
-        extending = [k for k in maximal if is_subset(h, k)]
-        ext_inputs = [_input_index(k, pos, n) for k in extending]
+        ext_inputs = [i for i, k in enumerate(inputs) if is_subset(h, k)]
         for o_bits in range(1 << d):
             base = 0
             for i, p in enumerate(dom_positions):
@@ -103,12 +95,11 @@ def build_equations(
                     row[(ext_inputs[b] << n) | o_full] -= 1
                 rows.append(tuple(row))
 
-    max_inputs = [_input_index(k, pos, n) for k in maximal]
-    for j in range(len(max_inputs) - 1):
+    for j in range(len(inputs) - 1):
         row = [0] * num_cols
         for o_full in range(1 << n):
-            row[(max_inputs[j] << n) | o_full] += 1
-            row[(max_inputs[j + 1] << n) | o_full] -= 1
+            row[(j << n) | o_full] += 1
+            row[((j + 1) << n) | o_full] -= 1
         rows.append(tuple(row))
     return LinearSystem(tuple(rows), n)
 

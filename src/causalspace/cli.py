@@ -41,6 +41,10 @@ from .spaces import Space
 
 STATE_DIR_ENV = "CAUSALSPACE_STATE_DIR"
 
+_MAX_DUMP_EVENTS = 5
+# a system on n events has 4**n columns and more rows still: 5 events give
+# about 10 MB of CSV, and 6 would hold an estimated gigabyte of rows
+
 
 def _state_dir() -> Path:
     return Path(os.environ.get(STATE_DIR_ENV, "."))
@@ -215,7 +219,13 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
 def cmd_causaltope(args: argparse.Namespace) -> int:
     try:
         hierarchy = None if args.class_id is None else _build_hierarchy(args.events)
-        system = causaltope.build_equations(_resolve_space(args, hierarchy))
+        space = _resolve_space(args, hierarchy)
+        if space.event_count > _MAX_DUMP_EVENTS:
+            raise ValueError(
+                f"the space has {space.event_count} events; equation systems are"
+                f" dumped for at most {_MAX_DUMP_EVENTS}."
+            )
+        system = causaltope.build_equations(space)
         data = causaltope.dump_system(system, args.format)
     except ValueError as exc:
         print(f"causaltope: {exc}", file=sys.stderr)

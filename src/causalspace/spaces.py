@@ -147,9 +147,13 @@ def maxima_hset(w: HistorySet) -> tuple[History, ...]:
 
 
 def is_free_choice(space: Space) -> bool:
-    """Whether the maxima of the join-closure are all total assignments."""
-    expected = total_assignments(space.events)
-    return set(maxima_hset(ext(space))) == set(expected)
+    """Whether the maxima of the join-closure are all total assignments.
+
+    Every history on the space's events extends to a total assignment, so
+    the maxima are exactly the total assignments iff all of them lie in
+    the join-closure.
+    """
+    return is_subset(bitvec(total_assignments(space.events)), ext(space))
 
 
 def tips(space: Space, h: History) -> frozenset[Event]:
@@ -186,6 +190,39 @@ def tip(space: Space, h: History) -> Event:
     return next(iter(ts))
 
 
+def _determination(space: Space) -> list[tuple[tuple[History, ...], int]]:
+    """The determination classes, each with the output cells it controls.
+
+    Cell ``i * n + (n - 1 - p)`` is the output at the ``p``-th of the ``n``
+    sorted events for joint input ``i``, the ``i``-th total assignment: the
+    bit layout of a causal function's packed table. A member controls its
+    tip's cell at every total assignment above it, so two members share a
+    cell exactly when they co-occur in some ``D(k, e)``, and a class is a
+    set of members linked by shared cells. Requires a causally complete space.
+    """
+    if not is_causally_complete(space):
+        raise ValueError("Space must be causally complete.")
+    evs = tuple(sorted(space.events))
+    n = len(evs)
+    inputs = total_assignments(evs)
+    classes: list[tuple[list[History], int]] = []
+    for h in iter_bitvec(space.histories):
+        shift = n - 1 - evs.index(tip(space, h))
+        mask = bitvec(i * n + shift for i, k in enumerate(inputs) if is_subset(h, k))
+        group, disjoint = [h], []
+        for g, m in classes:
+            if m & mask:
+                group += g
+                mask |= m
+            else:
+                disjoint.append((g, m))
+        classes = disjoint + [(group, mask)]
+    return sorted(
+        ((tuple(sorted(g, key=history_sort_key)), m) for g, m in classes),
+        key=lambda c: history_sort_key(c[0][0]),
+    )
+
+
 def determination_classes(space: Space) -> tuple[tuple[History, ...], ...]:
     """Partition of the members by shared determining role.
 
@@ -194,37 +231,7 @@ def determination_classes(space: Space) -> tuple[tuple[History, ...], ...]:
     co-occurring in some determining set are merged. Requires a causally
     complete space.
     """
-    if not is_causally_complete(space):
-        raise ValueError("Space must be causally complete.")
-    members = hset_members(space.histories)
-    tip_of = {h: tip(space, h) for h in members}
-    parent = {h: h for h in members}
-
-    def find(h: History) -> History:
-        while parent[h] != h:
-            parent[h] = parent[parent[h]]
-            h = parent[h]
-        return h
-
-    for k in total_assignments(space.events):
-        dsets: dict[Event, list[History]] = {}
-        for h in members:
-            if is_subset(h, k):
-                dsets.setdefault(tip_of[h], []).append(h)
-        for group in dsets.values():
-            for h in group[1:]:
-                ra, rb = find(group[0]), find(h)
-                if ra != rb:
-                    parent[rb] = ra
-    groups: dict[History, list[History]] = {}
-    for h in members:
-        groups.setdefault(find(h), []).append(h)
-    return tuple(
-        sorted(
-            (tuple(sorted(g, key=history_sort_key)) for g in groups.values()),
-            key=lambda g: history_sort_key(g[0]),
-        )
-    )
+    return tuple(group for group, _ in _determination(space))
 
 
 def tightness(space: Space) -> tuple[bool, tuple[tuple[History, ...], ...]]:

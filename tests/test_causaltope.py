@@ -1,4 +1,5 @@
 import random
+from hashlib import sha256
 
 import pytest
 import sympy
@@ -29,6 +30,22 @@ def test_order_space_systems(text, rows, indep, dim):
     assert system.num_rows == rows
     assert ct.rank(system) == indep
     assert ct.causaltope_dim(space) == dim
+
+
+def test_three_event_dumps_pinned(hierarchy3):
+    # sha256 of the CSV and PGM dumps of the 102 class representatives'
+    # systems, concatenated in class-id order; any change to a row shows here
+    systems = [
+        ct.build_equations(Space(hierarchy3.nodes[i].representative))
+        for i in sorted(hierarchy3.nodes)
+    ]
+    assert len(systems) == 102
+    assert sha256(b"".join(map(ct.dump_csv, systems))).hexdigest() == (
+        "c0cfb7ff0ab90707dfdef4fb6f665e9063013fe7f22ab2b1a91e5362123546c1"
+    )
+    assert sha256(b"".join(map(ct.dump_pgm, systems))).hexdigest() == (
+        "d211371f50dd774fb596bd4007b8ae14a360ef4b69bafcb698ec8336968cd62f"
+    )
 
 
 def test_single_event_space_dim():

@@ -217,6 +217,19 @@ def test_causaltope_accepts_four_event_literal(capsys):
     assert capsys.readouterr().out.startswith("0000|0000,")
 
 
+def test_causaltope_rejects_literal_beyond_five_events(capsys, monkeypatch):
+    # a 6-event system has 4096 columns and tens of thousands of rows, so
+    # the command must refuse before building it
+    def unreachable(space, **kwargs):
+        raise AssertionError("build_equations was called")
+
+    monkeypatch.setattr(causaltope, "build_equations", unreachable)
+    literal = "[A/0; A/1; B/0; B/1; C/0; C/1; D/0; D/1; E/0; E/1; F/0; F/1]"
+    assert main(["causaltope", "--events", "6", "--space", literal]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("causaltope: ") and "6 events" in err
+
+
 def test_enumerate_has_no_format_option():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--events", "2", "--format", "pgm"])

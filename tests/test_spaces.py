@@ -1,14 +1,21 @@
+import random
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalspace import spaces as sp
+from causalspace.analysis import causal_function_set
 from causalspace.encoding import (
     bitvec,
     history,
+    history_sort_key,
     is_subset,
+    iter_bitvec,
     max_histories,
     sub_histories,
+    total_assignments,
 )
 from causalspace.enumerator import enumerate_classes
 from causalspace.orders import (
@@ -85,6 +92,34 @@ def test_free_choice():
     assert not sp.is_free_choice(space_of("A/0", "B/0", "B/1"))
 
 
+def _random_prime_hset(rng, num_events):
+    evs = "ABCD"[:num_events]
+    pool = [
+        history(zip(dom, values))
+        for size in range(1, num_events + 1)
+        for dom in combinations(evs, size)
+        for values in product((0, 1), repeat=size)
+    ]
+    density = rng.random()
+    return sp.prime_hset(bitvec(h for h in pool if rng.random() < density))
+
+
+def test_free_choice_matches_maxima_definition():
+    # the definition: the maxima of the join-closure are the total assignments
+    rng = random.Random(2644)
+    spaces = [sp.Space(0)] + [
+        sp.Space(_random_prime_hset(rng, rng.randint(1, 4))) for _ in range(2000)
+    ]
+    free = 0
+    for space in spaces:
+        maxima = set(sp.maxima_hset(sp.ext(space)))
+        expected = maxima == set(total_assignments(space.events))
+        assert sp.is_free_choice(space) == expected, str(space)
+        free += expected
+    # both outcomes are well represented
+    assert 200 < free < len(spaces) - 200
+
+
 def test_tips_examples():
     assert sp.tips(DISCRETE3, H("A/0")) == frozenset("A")
     assert sp.tips(TOTAL3, H("A/0,B/1")) == frozenset("B")
@@ -101,6 +136,62 @@ def test_is_causally_complete():
     assert not sp.is_causally_complete(BC_GROUP)
     with pytest.raises(ValueError):
         sp.is_causally_complete(space_of("A/0", "B/0", "B/1"))
+
+
+def _reference_determination(space):
+    """Union-find over the determining sets, then per-class output cells.
+
+    Returns a map from each class (a frozenset of members) to its cells:
+    bit ``i * n + (n - 1 - p)`` for the ``i``-th total assignment and the
+    tip at event position ``p`` of each member below it.
+    """
+    evs = sorted(space.events)
+    n = len(evs)
+    members = list(iter_bitvec(space.histories))
+    tip_of = {h: sp.tip(space, h) for h in members}
+    parent = {h: h for h in members}
+
+    def find(h):
+        while parent[h] != h:
+            h = parent[h]
+        return h
+
+    inputs = total_assignments(evs)
+    for k in inputs:
+        for e in evs:
+            dset = [h for h in members if is_subset(h, k) and tip_of[h] == e]
+            for h in dset[1:]:
+                parent[find(h)] = find(dset[0])
+    classes, cells = {}, {}
+    for i, k in enumerate(inputs):
+        for h in members:
+            if is_subset(h, k):
+                root = find(h)
+                classes.setdefault(root, set()).add(h)
+                cell = 1 << (i * n + n - 1 - evs.index(tip_of[h]))
+                cells[root] = cells.get(root, 0) | cell
+    return {frozenset(c): cells[root] for root, c in classes.items()}
+
+
+def test_determination_matches_reference():
+    rng = random.Random(102)
+    spaces = []
+    for n in (1, 2, 3):
+        table = perm_table(n)
+        for rep in enumerate_classes(n)[0]:
+            orbit = space_orbit(rep, table)
+            spaces += [rep, rng.choice(orbit)]
+    for bits in spaces:
+        space = sp.Space(bits)
+        reference = _reference_determination(space)
+        classes = sp.determination_classes(space)
+        assert {frozenset(g) for g in classes} == set(reference)
+        assert all(list(g) == sorted(g, key=history_sort_key) for g in classes)
+        assert list(classes) == sorted(classes, key=lambda g: history_sort_key(g[0]))
+        functions = [0]
+        for mask in reference.values():
+            functions += [f | mask for f in functions]
+        assert causal_function_set(space) == frozenset(functions)
 
 
 def test_tightness_examples(catalogue3, hierarchy3):
