@@ -236,7 +236,7 @@ def diff_from_order(space: Space, order: CausalOrder) -> tuple[OrderDifference, 
     the space induced by the order; the result is empty exactly when it
     equals it.
     """
-    order_ext = ext_hset(hist_space(order))
+    order_ext = ext_hist_space(order)
     space_ext = ext(space)
     if not is_subset(order_ext, space_ext):
         raise ValueError("Space does not refine the space induced by the order.")
@@ -278,7 +278,7 @@ def _catalogue(classes: Iterable[HistorySet], num_events: int) -> Hierarchy:
     """The hierarchy's catalogue: ids, orbits and join-closures.
 
     Each class's facts are computed on first read, from its own equations
-    and those of its closest coarsening spaces only.
+    and the join-closures of its neighbours only.
     """
     table = perm_table(num_events)
 
@@ -343,16 +343,14 @@ def _analyse(node: HierarchyNode) -> None:
     node.is_join_of_refinements = bool(covered) and (
         prime_hset(reduce(and_, (exts[s] for s in covered))) == rep
     )
-    node.is_meet_of_coarsenings = bool(covering) and (
-        prime_hset(reduce(or_, (exts[s] for s in covering))) == rep
-    )
+    meet_ext = reduce(or_, (exts[s] for s in covering), 0)
+    node.is_meet_of_coarsenings = bool(covering) and prime_hset(meet_ext) == rep
     node.causaltope_dim_of_coarsening_meet = None
     if covering:
-        stacked = ct.combined_rank([ct.build_equations(Space(s)) for s in covering])
-        # the dimension of the space cut out by the stacked coarsening systems
-        node.causaltope_dim_of_coarsening_meet = (
-            node.causaltope_dim + node.num_independent_equations - stacked
-        )
+        # a row depends only on its history, so the stacked systems of the
+        # coarsening spaces have the rows of the union of their closures
+        meet = ct._system(meet_ext, tuple(sorted(sp.events)))
+        node.causaltope_dim_of_coarsening_meet = meet.num_columns - ct.rank(meet) - 1
 
 
 # -- report records ---------------------------------------------------------

@@ -6,14 +6,13 @@ for inputs ``i`` and outputs ``o`` is indexed as the ``2n``-bit word ``i o``
 with the first event's bit most significant, so joint input ``i`` is the
 ``i``-th total assignment of ``total_assignments``.
 
-Two homogeneous row families cut out the models compatible with a space:
-
-* causality rows: for each non-maximal extended history ``h`` and each
-  output assignment on its domain, the marginal probability of that output
-  must agree across all total inputs extending ``h`` (one difference row
-  per consecutive pair of extending inputs);
-* quasi-normalisation rows: the total mass must agree across all joint
-  inputs (one difference row per consecutive pair).
+The models compatible with a space are cut out by marginal agreement: for
+each non-maximal extended history ``h`` and each output assignment on its
+domain, the marginal probability of that output must agree across all total
+inputs extending ``h`` (one difference row per consecutive pair of extending
+inputs). The rows of ``h`` depend on ``h`` alone, so a system is a function
+of the join-closure. The empty history's rows are the quasi-normalisation
+rows: the total mass must agree across all joint inputs.
 
 The affine polytope of models additionally fixes the total mass to one,
 which is why its dimension is ``2**(2n) - rank - 1``.
@@ -22,10 +21,19 @@ which is why its dimension is ``2**(2n) - rank - 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Literal, Sequence
 
-from .encoding import domsize, history_items, hset_members, is_subset, total_assignments
+from .encoding import (
+    Event,
+    HistorySet,
+    domsize,
+    history_items,
+    hset_members,
+    is_subset,
+    total_assignments,
+)
 from .spaces import Space, ext, is_causally_complete
 
 
@@ -57,50 +65,40 @@ def build_equations(
     """
     if not is_causally_complete(space):
         raise ValueError("Space must be causally complete.")
-    evs = tuple(sorted(space.events))
+    return _system(ext(space), tuple(sorted(space.events)), pairs)
+
+
+def _system(
+    hset: HistorySet,
+    evs: tuple[Event, ...],
+    pairs: Literal["consecutive", "all"] = "consecutive",
+) -> LinearSystem:
+    """The rows of the non-maximal members of ``hset``, then of the empty history.
+
+    ``hset`` is a join-closure on the sorted events ``evs``, or a union of
+    such closures. A history's rows depend on nothing else: one per output
+    assignment on its domain and per pair of total inputs extending it.
+    """
     n = len(evs)
-    pos = {e: i for i, e in enumerate(evs)}
-    num_cols = 1 << (2 * n)
     inputs = total_assignments(evs)
     rows: list[tuple[int, ...]] = []
-
-    def pair_indices(count: int) -> Iterable[tuple[int, int]]:
-        if pairs == "consecutive":
-            return ((j, j + 1) for j in range(count - 1))
-        return ((a, b) for a in range(count) for b in range(a + 1, count))
-
-    for h in hset_members(ext(space)):
-        d = domsize(h)
-        if d == n:
-            continue
-        dom_positions = [pos[e] for e, _ in history_items(h)]
-        comp_positions = [p for p in range(n) if p not in dom_positions]
+    for h in [h for h in hset_members(hset) if domsize(h) < n] + [0]:
+        dmask = sum(1 << (n - 1 - evs.index(e)) for e, _ in history_items(h))
+        agreeing: dict[int, list[int]] = {}  # outputs by their domain part
+        for o in range(1 << n):
+            agreeing.setdefault(o & dmask, []).append(o)
         ext_inputs = [i for i, k in enumerate(inputs) if is_subset(h, k)]
-        for o_bits in range(1 << d):
-            base = 0
-            for i, p in enumerate(dom_positions):
-                if o_bits & (1 << (d - 1 - i)):
-                    base |= 1 << (n - 1 - p)
-            outputs = []
-            for o_comp in range(1 << len(comp_positions)):
-                o_full = base
-                for i, p in enumerate(comp_positions):
-                    if o_comp & (1 << (len(comp_positions) - 1 - i)):
-                        o_full |= 1 << (n - 1 - p)
-                outputs.append(o_full)
-            for a, b in pair_indices(len(ext_inputs)):
-                row = [0] * num_cols
-                for o_full in outputs:
-                    row[(ext_inputs[a] << n) | o_full] += 1
-                    row[(ext_inputs[b] << n) | o_full] -= 1
+        if pairs == "consecutive":
+            input_pairs = list(zip(ext_inputs, ext_inputs[1:]))
+        else:
+            input_pairs = list(combinations(ext_inputs, 2))
+        for outputs in agreeing.values():
+            for a, b in input_pairs:
+                row = [0] * (1 << (2 * n))
+                for o in outputs:
+                    row[(a << n) | o] = 1
+                    row[(b << n) | o] = -1
                 rows.append(tuple(row))
-
-    for j in range(len(inputs) - 1):
-        row = [0] * num_cols
-        for o_full in range(1 << n):
-            row[(j << n) | o_full] += 1
-            row[((j + 1) << n) | o_full] -= 1
-        rows.append(tuple(row))
     return LinearSystem(tuple(rows), n)
 
 
@@ -144,17 +142,6 @@ def rank_of_rows(rows: Iterable[Sequence[int]], num_columns: int) -> int:
 def rank(system: LinearSystem) -> int:
     """Exact rank of a system over the rationals."""
     return rank_of_rows(system.rows, system.num_columns)
-
-
-def combined_rank(systems: Iterable[LinearSystem]) -> int:
-    """Exact rank of several systems stacked into one."""
-    systems = list(systems)
-    if not systems:
-        return 0
-    num_cols = systems[0].num_columns
-    if any(s.num_columns != num_cols for s in systems):
-        raise ValueError("Systems must share the same column space.")
-    return rank_of_rows((r for s in systems for r in s.rows), num_cols)
 
 
 def causaltope_dim(space: Space) -> int:

@@ -220,6 +220,10 @@ def cmd_causaltope(args: argparse.Namespace) -> int:
     try:
         hierarchy = None if args.class_id is None else _build_hierarchy(args.events)
         space = _resolve_space(args, hierarchy)
+        if space.event_count != args.events:
+            raise ValueError(
+                f"the space has {space.event_count} events, not --events {args.events}."
+            )
         if space.event_count > _MAX_DUMP_EVENTS:
             raise ValueError(
                 f"the space has {space.event_count} events; equation systems are"

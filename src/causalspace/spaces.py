@@ -190,7 +190,8 @@ def tip(space: Space, h: History) -> Event:
     return next(iter(ts))
 
 
-def _determination(space: Space) -> list[tuple[tuple[History, ...], int]]:
+@lru_cache(maxsize=None)
+def _determination(space: Space) -> tuple[tuple[tuple[History, ...], int], ...]:
     """The determination classes, each with the output cells it controls.
 
     Cell ``i * n + (n - 1 - p)`` is the output at the ``p``-th of the ``n``
@@ -217,10 +218,10 @@ def _determination(space: Space) -> list[tuple[tuple[History, ...], int]]:
             else:
                 disjoint.append((g, m))
         classes = disjoint + [(group, mask)]
-    return sorted(
+    return tuple(sorted(
         ((tuple(sorted(g, key=history_sort_key)), m) for g, m in classes),
         key=lambda c: history_sort_key(c[0][0]),
-    )
+    ))
 
 
 def determination_classes(space: Space) -> tuple[tuple[History, ...], ...]:

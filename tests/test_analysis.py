@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from causalspace import analysis as an
+from causalspace import causaltope as ct
 from causalspace.encoding import (
     history,
     hset_members,
@@ -314,3 +315,27 @@ def test_lazy_hierarchy_matches_eager(enumeration3, hierarchy3):
     for class_id in sorted(hierarchy3.nodes, key=lambda i: (i * 37) % 102):
         assert an.report(class_id, lazy) == an.report(class_id, hierarchy3)
     assert an.hierarchy_dot(lazy) == an.hierarchy_dot(hierarchy3)
+
+
+@pytest.mark.parametrize("num_events", [2, 3])
+def test_coarsening_meet_dimension_matches_stacked_systems(request, num_events):
+    # the reference definition: stack the systems of a class's closest
+    # coarsening spaces and rank the stacked rows
+    hierarchy = request.getfixturevalue(f"hierarchy{num_events}")
+    exts = hierarchy.ext_of_space
+    num_columns = 1 << (2 * num_events)
+    stacked = 0
+    for class_id, node in hierarchy.nodes.items():
+        rep_ext = exts[node.representative]
+        above = [s for s, e in exts.items() if e != rep_ext and is_subset(e, rep_ext)]
+        covering = [
+            s for s in above if not any(t != s and is_subset(exts[s], exts[t]) for t in above)
+        ]
+        if not covering:
+            assert node.causaltope_dim_of_coarsening_meet is None, class_id
+            continue
+        rows = [row for s in covering for row in ct.build_equations(Space(s)).rows]
+        rank = ct.rank_of_rows(rows, num_columns)
+        assert node.causaltope_dim_of_coarsening_meet == num_columns - rank - 1, class_id
+        stacked += 1
+    assert stacked == len(hierarchy.nodes) - len(hierarchy.maxima)

@@ -6,7 +6,7 @@ import sympy
 
 from causalspace import causaltope as ct
 from causalspace.analysis import CausalFunction, causal_function_set
-from causalspace.orders import hist_space, parse_order
+from causalspace.orders import all_orders, hist_space, is_definite, parse_order
 from causalspace.spaces import Space
 
 
@@ -45,6 +45,17 @@ def test_three_event_dumps_pinned(hierarchy3):
     )
     assert sha256(b"".join(map(ct.dump_pgm, systems))).hexdigest() == (
         "d211371f50dd774fb596bd4007b8ae14a360ef4b69bafcb698ec8336968cd62f"
+    )
+
+
+def test_four_event_order_dumps_pinned():
+    # sha256 of the CSV dumps of the 219 complete order spaces on 4 events,
+    # concatenated in the order of all_orders; any change to a row shows here
+    spaces = [Space(hist_space(o)) for o in all_orders(4) if is_definite(o)]
+    assert len(spaces) == 219
+    dumps = b"".join(ct.dump_csv(ct.build_equations(s)) for s in spaces)
+    assert sha256(dumps).hexdigest() == (
+        "a6392f079a78447a18020f1d397f0c622f9f2538b7b71f1f68ce0d4f3aa051a8"
     )
 
 
@@ -146,16 +157,6 @@ def test_build_equations_requires_complete_space():
     not_free = Space.from_histories([1, 4, 8])  # A/0, B/0, B/1
     with pytest.raises(ValueError):
         ct.build_equations(not_free)
-
-
-def test_combined_rank():
-    a = ct.build_equations(order_space("total(A,B,C)"))
-    b = ct.build_equations(order_space("total(B,A,C)"))
-    stacked = ct.combined_rank([a, b])
-    assert max(ct.rank(a), ct.rank(b)) <= stacked <= ct.rank(a) + ct.rank(b)
-    assert ct.combined_rank([a]) == ct.rank(a)
-    with pytest.raises(ValueError):
-        ct.combined_rank([a, ct.LinearSystem((), 2)])
 
 
 def _bareiss_rank(rows):

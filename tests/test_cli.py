@@ -5,9 +5,7 @@ import pytest
 
 from causalspace import causaltope, cli
 from causalspace.cli import main
-from causalspace.encoding import is_subset
 from causalspace.enumerator import SpaceFinder, read_hsets
-from causalspace.spaces import ext_hset
 
 
 @pytest.fixture(autouse=True)
@@ -163,13 +161,9 @@ def test_classify_class_id_analyses_only_its_class(capsys, monkeypatch, hierarch
     calls = _count_build_equations(monkeypatch)
     assert main(["classify", "--events", "3", "--class-id", str(class_id)]) == 0
     assert json.loads(capsys.readouterr().out)["class_id"] == class_id
-    # its own system, and one per closest coarsening space for the
-    # dimension of their meet; 505 when every class is analysed
-    rep_ext = ext_hset(hierarchy3.nodes[class_id].representative)
-    above = {ext_hset(s) for s in hierarchy3.class_of_space}
-    above = {e for e in above if e != rep_ext and is_subset(e, rep_ext)}
-    covering = [e for e in above if not any(f != e and is_subset(e, f) for f in above)]
-    assert len(calls) <= 1 + len(covering) <= 9
+    # its own system only: the dimension of the coarsening meet comes from
+    # the union of the coarsening closures, with no system per coarsening
+    assert calls == [hierarchy3.nodes[class_id].representative]
 
 
 def test_causaltope_class_id_builds_one_system(capsys, monkeypatch):
@@ -228,6 +222,22 @@ def test_causaltope_rejects_literal_beyond_five_events(capsys, monkeypatch):
     assert main(["causaltope", "--events", "6", "--space", literal]) == 2
     err = capsys.readouterr().err
     assert err.startswith("causaltope: ") and "6 events" in err
+
+
+@pytest.mark.parametrize("events, literal_events", [(2, "ABC"), (5, "ABCDEF")])
+def test_causaltope_rejects_literal_on_other_event_count(
+    capsys, monkeypatch, events, literal_events
+):
+    # checked before the dump cap and before any system is built
+    def unreachable(space, **kwargs):
+        raise AssertionError("build_equations was called")
+
+    monkeypatch.setattr(causaltope, "build_equations", unreachable)
+    literal = "[" + "; ".join(f"{e}/{v}" for e in literal_events for v in (0, 1)) + "]"
+    assert main(["causaltope", "--events", str(events), "--space", literal]) == 2
+    assert capsys.readouterr().err == (
+        f"causaltope: the space has {len(literal_events)} events, not --events {events}.\n"
+    )
 
 
 def test_enumerate_has_no_format_option():
