@@ -21,9 +21,8 @@ which is why its dimension is ``2**(2n) - rank - 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 from .encoding import (
     Event,
@@ -53,31 +52,23 @@ class LinearSystem:
         return len(self.rows)
 
 
-def build_equations(
-    space: Space, *, pairs: Literal["consecutive", "all"] = "consecutive"
-) -> LinearSystem:
+def build_equations(space: Space) -> LinearSystem:
     """The causality and quasi-normalisation system for a space.
 
-    Requires a causally complete space (which implies free choice). The
-    ``pairs`` keyword selects how marginal-agreement constraints are spread
-    over the extending inputs; any spanning choice has the same rank, and
-    ``"consecutive"`` is the standard row layout.
+    Requires a causally complete space (which implies free choice).
     """
     if not is_causally_complete(space):
         raise ValueError("Space must be causally complete.")
-    return _system(ext(space), tuple(sorted(space.events)), pairs)
+    return _system(ext(space), tuple(sorted(space.events)))
 
 
-def _system(
-    hset: HistorySet,
-    evs: tuple[Event, ...],
-    pairs: Literal["consecutive", "all"] = "consecutive",
-) -> LinearSystem:
+def _system(hset: HistorySet, evs: tuple[Event, ...]) -> LinearSystem:
     """The rows of the non-maximal members of ``hset``, then of the empty history.
 
     ``hset`` is a join-closure on the sorted events ``evs``, or a union of
     such closures. A history's rows depend on nothing else: one per output
-    assignment on its domain and per pair of total inputs extending it.
+    assignment on its domain and per consecutive pair of total inputs
+    extending it.
     """
     n = len(evs)
     inputs = total_assignments(evs)
@@ -88,12 +79,8 @@ def _system(
         for o in range(1 << n):
             agreeing.setdefault(o & dmask, []).append(o)
         ext_inputs = [i for i, k in enumerate(inputs) if is_subset(h, k)]
-        if pairs == "consecutive":
-            input_pairs = list(zip(ext_inputs, ext_inputs[1:]))
-        else:
-            input_pairs = list(combinations(ext_inputs, 2))
         for outputs in agreeing.values():
-            for a, b in input_pairs:
+            for a, b in zip(ext_inputs, ext_inputs[1:]):
                 row = [0] * (1 << (2 * n))
                 for o in outputs:
                     row[(a << n) | o] = 1

@@ -14,12 +14,13 @@ finder keeps beside the state, one key per visited partial space and per
 class. The state itself still holds the history sets as found, so the
 checkpoint format does not depend on the packed table.
 
-At the top level the subset iteration is optionally symmetry-optimised:
-one recursive pass over the top-level histories fixes, orbit by orbit under
-event-input permutations, some children choices up front. This splits the
-iteration into a list of "fixed" subsets, each paired with the "variable"
-children whose subsets remain to be swept. On 2/3/4 events this shrinks the
-top level from 16/4096/4294967296 subsets to 6/922/315981136.
+At the top level one recursive pass over the top-level histories fixes,
+orbit by orbit under event-input permutations, some children choices up
+front. This splits the iteration into a plan: a list of "fixed" subsets,
+each paired with the "variable" children whose subsets remain to be swept.
+On 2/3/4 events this shrinks the top level from 16/4096/4294967296 subsets
+to 6/922/315981136. Without top-level symmetry the plan is the one built
+under the trivial group: one empty fixed subset with every child variable.
 
 The full search state can be serialised to a binary file and a run resumed
 from it, including from the middle of a top-level subset. All multi-byte
@@ -237,8 +238,9 @@ class SpaceFinder:
     :param filename: checkpoint file; ``None`` disables saving
     :param save_period: minimum number of equivalence classes between
         checkpoints; ``None`` saves only once, at the end
-    :param use_toplevel_symmetry: when ``False``, the top level iterates
-        over all children subsets brute-force (identical results, slower)
+    :param use_toplevel_symmetry: when ``False``, the top-level plan is
+        built under the trivial group, so the top level iterates over all
+        children subsets brute-force (identical results, slower)
     :param print_fn: sink for status output
     """
 
@@ -273,9 +275,8 @@ class SpaceFinder:
         self._max_histories = max_histories(num_events)
         self._perm_group = self._table.group
         hs = self._table.histories
-        self._children_set = {h: frozenset(child_histories(h)) for h in hs}
         self._children = {
-            h: tuple(sorted(self._children_set[h], key=history_sort_key)) for h in hs
+            h: tuple(sorted(child_histories(h), key=history_sort_key)) for h in hs
         }
         self._parents = parents(hs)
         self._domsize = {h: domsize(h) for h in hs}
@@ -466,62 +467,45 @@ class SpaceFinder:
             for img in space_orbit(rep, self._table):
                 yield rep, img
 
-    @property
-    def time_elapsed(self) -> float:
-        return perf_counter() - self._start_time
+    def metrics(self) -> SearchMetrics:
+        """A snapshot of progress counters and resource estimates.
 
-    @property
-    def perc_completed(self) -> float:
-        """Rough completion estimate over top-level subsets."""
-        state = self.state
-        return state.num_done / state.num_todo if state.num_todo else 0.0
-
-    @property
-    def fixed_toplevel_subsets_perc_completed(self) -> float:
-        state = self.state
-        if not state.child_choices_list:
-            return 1.0 if state.toplevel_ready else 0.0
-        return state.fix_child_choice_idx / len(state.child_choices_list)
-
-    @property
-    def var_toplevel_subsets_perc_completed(self) -> float:
-        state = self.state
-        if state.fix_child_choice_idx >= len(state.child_choices_list):
-            return 1.0
-        remaining = state.remaining_children_list[state.fix_child_choice_idx]
-        return state.var_child_subset_bitvec / (2.0 ** remaining.bit_count())
-
-    @property
-    def memsize(self) -> int:
-        """Upper bound on bytes held by the search state's collections.
-
-        Counts one maximal space bitvector per entry across the mutable
-        collections, plus container overhead. The finder's set of canonical
-        dense keys beside the state is not counted.
+        The completion figures are rough estimates over top-level subsets:
+        overall, over the fixed choices of the plan, and over the variable
+        subsets of the current fixed choice. ``memsize`` is an upper bound
+        on bytes held by the search state's collections: one maximal space
+        bitvector per entry across the mutable collections, plus container
+        overhead. The finder's set of canonical dense keys beside the state
+        is not counted.
         """
         state = self.state
+        idx = state.fix_child_choice_idx
+        num_choices = len(state.child_choices_list)
+        if idx < num_choices:
+            num_var_subsets = 1 << state.remaining_children_list[idx].bit_count()
+            var_perc = state.var_child_subset_bitvec / num_var_subsets
+        else:
+            var_perc = 1.0
         collections = (
             state.partial_spaces_visited,
             state.eq_classes,
             state.child_choices_list,
             state.remaining_children_list,
         )
-        return sum(
-            sys.getsizeof(c) + len(c) * self._max_space_size for c in collections
-        )
-
-    def metrics(self) -> SearchMetrics:
-        """A snapshot of progress counters and resource estimates."""
         return SearchMetrics(
-            num_spaces=self.num_spaces,
-            num_eq_classes=self.num_eq_classes,
-            num_done=self.state.num_done,
-            num_todo=self.state.num_todo,
-            perc_completed=self.perc_completed,
-            fixed_subsets_perc_completed=self.fixed_toplevel_subsets_perc_completed,
-            var_subsets_perc_completed=self.var_toplevel_subsets_perc_completed,
-            time_elapsed=self.time_elapsed,
-            memsize=self.memsize,
+            num_spaces=state.num_spaces,
+            num_eq_classes=len(state.eq_classes),
+            num_done=state.num_done,
+            num_todo=state.num_todo,
+            perc_completed=state.num_done / state.num_todo if state.num_todo else 0.0,
+            fixed_subsets_perc_completed=(
+                idx / num_choices if num_choices else float(state.toplevel_ready)
+            ),
+            var_subsets_perc_completed=var_perc,
+            time_elapsed=perf_counter() - self._start_time,
+            memsize=sum(
+                sys.getsizeof(c) + len(c) * self._max_space_size for c in collections
+            ),
         )
 
     # -- status output ----------------------------------------------------
@@ -536,16 +520,16 @@ class SpaceFinder:
 
     def _print_status_line(self) -> None:
         if self._verbose:
-            line = (
-                f"{time_str(self.time_elapsed): >10}"
-                f" {self.num_spaces: >12}"
-                f" {self.num_eq_classes: >10}"
-                f" {memory_str(self.memsize): >10}"
-                f" {self.perc_completed: >10.4%}"
-                f" {self.fixed_toplevel_subsets_perc_completed: >10.4%}"
-                f" {self.var_toplevel_subsets_perc_completed: >10.4%}"
+            m = self.metrics()
+            self._print_fn(
+                f"{time_str(m.time_elapsed): >10}"
+                f" {m.num_spaces: >12}"
+                f" {m.num_eq_classes: >10}"
+                f" {memory_str(m.memsize): >10}"
+                f" {m.perc_completed: >10.4%}"
+                f" {m.fixed_subsets_perc_completed: >10.4%}"
+                f" {m.var_subsets_perc_completed: >10.4%}"
             )
-            self._print_fn(line)
 
     def _describe(self) -> None:
         if self._verbose:
@@ -604,7 +588,7 @@ class SpaceFinder:
 
     def _find_eq_classes(
         self,
-        new_hs: Sequence[History],
+        new_hs: Collection[History],
         hs: Sequence[History] = (),
         hs_rest: Sequence[History] = (),
         level: int = 0,
@@ -618,9 +602,8 @@ class SpaceFinder:
         else:
             iter_child_subsets = self.iter_child_subsets
         for child_subset in iter_child_subsets(new_hs):
-            child_subset_sorted = sorted(child_subset, key=history_sort_key)
             hs_so_far_rest = list(chain(new_hs, hs_rest))
-            for k in child_subset_sorted:
+            for k in child_subset:
                 for j, h in enumerate(hs_so_far):
                     if is_subset(k, h):
                         hs_so_far_rest[j] = sub(hs_so_far_rest[j], k)
@@ -628,21 +611,21 @@ class SpaceFinder:
                 h for j, h in enumerate(hs_so_far) if hs_so_far_rest[j]
             )
             winnowed_hs_rest = tuple(h for h in hs_so_far_rest if h)
-            partial_space = set(chain(child_subset_sorted, winnowed_hs))
+            partial_space = set(chain(child_subset, winnowed_hs))
             # an orbit meets the seen spaces iff its canonical key is seen
             imgs = dense_images(partial_space)
             canon = min(imgs)
             if canon in seen:
                 continue
             partial_space_bitvec = bitvec(partial_space)
-            if all(self._domsize[h] == 1 for h in child_subset_sorted):
+            if all(self._domsize[h] == 1 for h in child_subset):
                 state.num_spaces += len(set(imgs))
                 state.eq_classes[partial_space_bitvec] = None
                 seen.add(canon)
                 yield partial_space_bitvec
             else:
                 yield from self._find_eq_classes(
-                    child_subset_sorted, winnowed_hs, winnowed_hs_rest, level + 1
+                    child_subset, winnowed_hs, winnowed_hs_rest, level + 1
                 )
                 # marked visited only once fully explored, so a state
                 # saved after an abandoned run still resumes exactly;
@@ -653,7 +636,7 @@ class SpaceFinder:
 
     # -- child subset iteration --------------------------------------------
 
-    def iter_child_subsets(self, hs: Sequence[History]) -> Iterator[set[History]]:
+    def iter_child_subsets(self, hs: Collection[History]) -> Iterator[set[History]]:
         """All children subsets where every history keeps at least one child."""
         child_hists = sorted(
             {k for h in hs for k in self._children[h]}, key=history_sort_key
@@ -665,7 +648,7 @@ class SpaceFinder:
 
     def child_subset(
         self,
-        hs: Sequence[History],
+        hs: Collection[History],
         child_hists: Sequence[History],
         child_subset_bitvec: int,
         hs_already_covered: frozenset[History] = frozenset(),
@@ -699,20 +682,12 @@ class SpaceFinder:
         """
         state = self.state
         if not state.toplevel_ready:
-            if self._use_toplevel_symmetry:
-                choices, num_todo, remaining = self.opt_fix_child_choices(
-                    hs, self._perm_group
-                )
-            else:
-                all_children = {k for h in hs for k in self._children[h]}
-                choices = (frozenset(),)
-                remaining = (all_children,)
-                num_todo = 1 << len(all_children)
-                if self._verbose:
-                    self._print_fn(
-                        f"Brute-forcing complexity: {num_todo}"
-                        " top-level child history subsets."
-                    )
+            # the identity comes first in group order, and a one-element
+            # group fixes no choice: every child stays variable
+            group = self._perm_group
+            if not self._use_toplevel_symmetry:
+                group = group[:1]
+            choices, num_todo, remaining = self.opt_fix_child_choices(hs, group)
             state.num_todo = num_todo
             state.num_done = 0
             state.child_choices_list = [bitvec(c) for c in choices]
@@ -738,7 +713,7 @@ class SpaceFinder:
         for child_choice, remaining in zip(choices[start:], remaining_list[start:]):
             rem_sorted = sorted(remaining, key=history_sort_key)
             hs_already_covered = frozenset(
-                h for h in hs if child_choice & self._children_set[h]
+                h for h in hs if not child_choice.isdisjoint(self._children[h])
             )
             num_child_subsets = 1 << len(rem_sorted)
             for subset_bits in range(
@@ -785,7 +760,7 @@ class SpaceFinder:
         hs_new_fixed = []
         for h in hs:
             h_children = self._children[h]
-            must_include = children_to_include & self._children_set[h]
+            must_include = children_to_include.intersection(h_children)
             sel_subsets = sorted(
                 (
                     s
@@ -836,7 +811,7 @@ class SpaceFinder:
     def opt_fix_child_choices(
         self, hs: Sequence[History], perm_group: Sequence[PermGroupEl]
     ) -> tuple[tuple[frozenset[History], ...], int, tuple[set[History], ...]]:
-        """The symmetry-optimised top-level plan, in one recursive pass.
+        """The top-level plan under ``perm_group``, in one recursive pass.
 
         Returns the fixed children subsets, the total number of top-level
         subsets to iterate over, and the corresponding maximal variable

@@ -282,6 +282,7 @@ def ext_hist_space(order: CausalOrder) -> HistorySet:
     return bitvec(members)
 
 
+@lru_cache(maxsize=None)
 def all_orders(num_events: int) -> tuple[CausalOrder, ...]:
     """All causal orders on the first ``num_events`` events.
 

@@ -171,6 +171,7 @@ def tips(space: Space, h: History) -> frozenset[Event]:
     return frozenset(idx_to_event(i) for i in iter_bitvec(mask))
 
 
+@lru_cache(maxsize=None)
 def is_causally_complete(space: Space) -> bool:
     """Whether every member has exactly one tip event.
 

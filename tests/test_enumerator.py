@@ -125,6 +125,70 @@ def test_status_updates_and_metrics(capsys):
     assert m.memsize > 0
 
 
+def status_lines(n, **kwargs):
+    """Everything a verbose search prints, with the time column removed."""
+    lines = []
+    finder = en.SpaceFinder(n, verbose=True, print_fn=lines.append, **kwargs)
+    finder.blank_state()
+    finder.find_eq_classes()
+    # status lines end in a percentage; their first 10 characters are the time
+    return [l[10:] if l.endswith("%") else l for l in lines]
+
+
+def test_status_table_pinned_two_events():
+    # without update_period, one status line per valid top-level subset
+    assert status_lines(2) == [
+        "Brute-forcing complexity: 16 top-level child history subsets.",
+        "Iterating over 6 top-level child history subsets.",
+        "      time       spaces    eq. cls     memory  completed fts compl. vts compl.",
+        "            4          1       716B   16.6667%    0.0000%    0.0000%",
+        "            5          2       744B   33.3333%    0.0000%   50.0000%",
+        "            5          2       744B   66.6667%   25.0000%   50.0000%",
+        "            5          2       744B   83.3333%   50.0000%    0.0000%",
+        "            7          3       772B  100.0000%   75.0000%    0.0000%",
+        "Found 7 spaces in 3 equivalence classes.",
+    ]
+
+
+def test_status_table_pinned_three_events():
+    assert status_lines(3, update_period=10) == [
+        "Brute-forcing complexity: 4096 top-level child history subsets.",
+        "Iterating over 922 top-level child history subsets.",
+        "      time       spaces    eq. cls     memory  completed fts compl. vts compl.",
+        "          360         10    2.93KiB    0.3254%    0.0000%    6.2500%",
+        "          583         20    3.78KiB    0.7592%    0.0000%   18.7500%",
+        "          718         30    5.03KiB    2.1692%    0.0000%   59.3750%",
+        "          994         40    5.97KiB    7.9176%    8.3333%   25.0000%",
+        "         1318         50    8.05KiB    8.7852%    8.3333%   50.0000%",
+        "         1714         60    8.65KiB   16.1605%   16.6667%   15.6250%",
+        "         2062         70   10.60KiB   41.9740%   37.5000%    6.2500%",
+        "         2215         80   11.06KiB   42.5163%   37.5000%   21.8750%",
+        "         2461         90   14.13KiB   52.8200%   50.0000%    4.6875%",
+        "         2635        100   14.76KiB   96.0954%   87.5000%    0.0000%",
+        "         2644        102   14.90KiB  100.0000%  100.0000%  100.0000%",
+        "Found 2644 spaces in 102 equivalence classes.",
+    ]
+
+
+def test_brute_force_toplevel_plan_three_events():
+    # without symmetry the plan is one empty fixed choice, every child variable
+    lines = []
+    finder = en.SpaceFinder(3, use_toplevel_symmetry=False, print_fn=lines.append)
+    finder.blank_state()
+    stream = finder.iter_find_eq_classes()
+    next(stream)
+    stream.close()
+    state = finder.state
+    assert state.child_choices_list == [0]
+    assert len(state.remaining_children_list) == 1
+    assert state.remaining_children_list[0].bit_count() == 12
+    assert state.num_todo == 4096
+    assert lines[:2] == [
+        "Brute-forcing complexity: 4096 top-level child history subsets.",
+        "Iterating over 4096 top-level child history subsets.",
+    ]
+
+
 def test_brute_force_toplevel_equivalent():
     fast = run_finder(2)
     brute = run_finder(2, use_toplevel_symmetry=False)
