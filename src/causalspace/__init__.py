@@ -26,7 +26,6 @@ from .encoding import (
     is_subset,
     iter_bitvec,
     max_histories,
-    parents,
     parse_history,
     parse_hset,
     sub,

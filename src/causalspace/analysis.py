@@ -28,6 +28,7 @@ from .encoding import (
     history_sort_key,
     hset_members,
     is_subset,
+    iter_bitvec,
 )
 from .orders import (
     CausalOrder,
@@ -49,7 +50,7 @@ from .spaces import (
     prime_hset,
     tightness,
 )
-from .symmetry import canonical_rep, perm_table, space_orbit
+from .symmetry import canonical_rep, perm_table
 
 MAX_FUNCTION_EVENTS = 3
 # explicit causal-function tables are 2**n entries of n bits each; counting
@@ -282,11 +283,19 @@ def _catalogue(classes: Iterable[HistorySet], num_events: int) -> Hierarchy:
     """
     table = perm_table(num_events)
 
-    orbits: dict[HistorySet, tuple[HistorySet, ...]] = {}
+    # canonical form -> {space: join-closure} over the orbit in encounter
+    # order; ext commutes with the group, so the images of a closure are
+    # the closures of the images, in the same group order
+    orbits: dict[HistorySet, dict[HistorySet, HistorySet]] = {}
     for rep in classes:
-        canon = canonical_rep(rep, table)
+        imgs = table.dense_images(iter_bitvec(rep))
+        canon = table.sparse(min(imgs))
         if canon not in orbits:
-            orbits[canon] = space_orbit(rep, table)
+            ext_imgs = table.dense_images(iter_bitvec(ext_hset(rep)))
+            orbits[canon] = {
+                table.sparse(k): table.sparse(e)
+                for k, e in dict(zip(imgs, ext_imgs)).items()
+            }
 
     class_table = _load_class_table(num_events)
     hierarchy = Hierarchy(num_events, {}, {}, {})
@@ -304,10 +313,10 @@ def _catalogue(classes: Iterable[HistorySet], num_events: int) -> Hierarchy:
             node.class_id = class_id
     for node in nodes:
         hierarchy.nodes[node.class_id] = node
-        for s in orbits[node.canonical]:
+        for s, e in orbits[node.canonical].items():
             hierarchy.class_of_space[s] = node.class_id
-    for s in sorted(hierarchy.class_of_space):
-        hierarchy.ext_of_space[s] = ext_hset(s)
+            hierarchy.ext_of_space[s] = e
+    hierarchy.ext_of_space = dict(sorted(hierarchy.ext_of_space.items()))
     return hierarchy
 
 

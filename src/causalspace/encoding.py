@@ -221,17 +221,6 @@ def sub_histories(hs: Sequence[History]) -> tuple[History, ...]:
     return tuple(out)
 
 
-def parents(hs: Sequence[History]) -> dict[History, frozenset[History]]:
-    """Maps each history (and each child of one) to its parents in ``hs``."""
-    ps: dict[History, set[History]] = {h: set() for h in hs}
-    for h in hs:
-        for k in sorted(child_histories(h), key=history_sort_key):
-            if k not in ps:
-                ps[k] = set()
-            ps[k].add(h)
-    return {h: frozenset(ks) for h, ks in ps.items()}
-
-
 def format_history(h: History) -> str:
     """Renders a history as ``"A/0,B/1"`` (empty history as ``"-"``)."""
     if h == 0:

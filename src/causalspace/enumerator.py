@@ -8,6 +8,11 @@ sub-histories (``winnowing``, since such candidates cannot be join-prime),
 skips partial spaces already seen up to event-input permutation, and emits
 a representative when only single-event children remain.
 
+A node numbers its sorted children, so a children subset is a position
+whose bit ``i`` selects child ``i``, walked in binary order. Coverage is a
+mask test: a position is decoded only when it meets, for every candidate,
+the mask of that candidate's child indices.
+
 A partial space counts as seen when its canonical dense key, the smallest
 of its packed images under the group (see ``symmetry``), is in a set the
 finder keeps beside the state, one key per visited partial space and per
@@ -21,6 +26,8 @@ each paired with the "variable" children whose subsets remain to be swept.
 On 2/3/4 events this shrinks the top level from 16/4096/4294967296 subsets
 to 6/922/315981136. Without top-level symmetry the plan is the one built
 under the trivial group: one empty fixed subset with every child variable.
+The top level walks each fixed subset's variable children the same way and
+sets its counters from the position.
 
 The full search state can be serialised to a binary file and a run resumed
 from it, including from the middle of a top-level subset. All multi-byte
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 import os
 import sys
-from collections.abc import Collection, Iterator, Sequence, Set
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations
 from time import perf_counter
@@ -50,7 +57,6 @@ from .encoding import (
     is_subset,
     iter_bitvec,
     max_histories,
-    parents,
     sub,
 )
 from .symmetry import PermGroupEl, PermTable, perm_table, space_orbit
@@ -128,6 +134,12 @@ class SearchState:
         """Whether the top-level subset plan has been computed or loaded."""
         return self.num_todo > 0
 
+    @property
+    def subsets_before(self) -> int:
+        """The number of top-level subsets before the position in the plan."""
+        done = self.remaining_children_list[: self.fix_child_choice_idx]
+        return sum(1 << r.bit_count() for r in done) + self.var_child_subset_bitvec
+
 
 def write_state(state: SearchState, f: BinaryIO) -> int:
     """Serialises a search state; returns the number of bytes written."""
@@ -204,10 +216,6 @@ def memory_str(mem: int) -> str:
     return f"{mem / 1024**3:.2f}GiB"
 
 
-def _powerset(items: Sequence) -> Iterator[tuple]:
-    return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
-
-
 @dataclass(frozen=True)
 class SearchMetrics:
     """A snapshot of search progress."""
@@ -278,7 +286,6 @@ class SpaceFinder:
         self._children = {
             h: tuple(sorted(child_histories(h), key=history_sort_key)) for h in hs
         }
-        self._parents = parents(hs)
         self._domsize = {h: domsize(h) for h in hs}
         self._all_children = bitvec(
             k for h in self._max_histories for k in self._children[h]
@@ -368,7 +375,6 @@ class SpaceFinder:
         num_choices = len(state.child_choices_list)
         if (
             state.num_todo != expected_todo
-            or state.num_done > state.num_todo
             or num_choices != len(state.remaining_children_list)
         ):
             raise ValueError("State counters are inconsistent with its plan.")
@@ -383,6 +389,9 @@ class SpaceFinder:
         )
         if idx > num_choices or state.var_child_subset_bitvec > max_var_subset:
             raise ValueError("State subset index is out of range.")
+        # in range, the position implies at most num_todo subsets done
+        if state.num_done != state.subsets_before:
+            raise ValueError("State subsets done disagree with its position.")
 
     def save_state(
         self, filename: Optional[str] = None, *, save_backup: bool = True
@@ -402,14 +411,7 @@ class SpaceFinder:
             # the top-level position determines how many subsets were fully
             # processed; the subset in progress when saving from the middle
             # of a stream is redone on resume
-            state = replace(
-                state,
-                num_done=sum(
-                    1 << r.bit_count()
-                    for r in state.remaining_children_list[: state.fix_child_choice_idx]
-                )
-                + state.var_child_subset_bitvec,
-            )
+            state = replace(state, num_done=state.subsets_before)
         message = [f"Saving to '{filename}'..."]
         num_bytes_written = _write_state_atomic(state, filename)
         if save_backup:
@@ -641,36 +643,22 @@ class SpaceFinder:
         child_hists = sorted(
             {k for h in hs for k in self._children[h]}, key=history_sort_key
         )
-        for subset_bits in range(1, 1 << len(child_hists)):
-            child_subset = self.child_subset(hs, child_hists, subset_bits)
-            if child_subset is not None:
-                yield child_subset
+        for _, child_subset in self._child_subsets(hs, child_hists, 1):
+            yield child_subset
 
-    def child_subset(
-        self,
-        hs: Collection[History],
-        child_hists: Sequence[History],
-        child_subset_bitvec: int,
-        hs_already_covered: frozenset[History] = frozenset(),
-        children_already_chosen: frozenset[History] = frozenset(),
-    ) -> Optional[set[History]]:
-        """Decodes a children subset, or ``None`` if coverage fails.
+    def _child_subsets(
+        self, hs: Collection[History], child_hists: Sequence[History], start: int
+    ) -> Iterator[tuple[int, set[History]]]:
+        """The positions from ``start`` that give every history a child.
 
-        The subset is the children of ``child_hists`` selected by the bits
-        of ``child_subset_bitvec``, unioned with ``children_already_chosen``;
-        it is returned only if every history in ``hs`` (minus those already
-        covered) has at least one child in it.
+        Bit ``i`` of a position selects ``child_hists[i]``; each covering
+        position is yielded with its decoded subset.
         """
-        hs_still_to_cover = set(hs) - hs_already_covered
-        child_subset = set(children_already_chosen)
-        for idx in iter_bitvec(child_subset_bitvec):
-            k = child_hists[idx]
-            child_subset.add(k)
-            if hs_still_to_cover:
-                hs_still_to_cover -= self._parents[k]
-        if not hs_still_to_cover:
-            return child_subset
-        return None
+        index = {k: i for i, k in enumerate(child_hists)}
+        masks = [bitvec(index[k] for k in self._children[h] if k in index) for h in hs]
+        for bits in range(start, 1 << len(child_hists)):
+            if all(map(bits.__and__, masks)):
+                yield bits, {child_hists[i] for i in iter_bitvec(bits)}
 
     def _toplevel_plan(
         self, hs: Sequence[History]
@@ -712,24 +700,19 @@ class SpaceFinder:
         start = state.fix_child_choice_idx
         for child_choice, remaining in zip(choices[start:], remaining_list[start:]):
             rem_sorted = sorted(remaining, key=history_sort_key)
-            hs_already_covered = frozenset(
-                h for h in hs if not child_choice.isdisjoint(self._children[h])
-            )
-            num_child_subsets = 1 << len(rem_sorted)
-            for subset_bits in range(
-                state.var_child_subset_bitvec, num_child_subsets
+            hs_to_cover = [h for h in hs if child_choice.isdisjoint(self._children[h])]
+            for bits, child_subset in self._child_subsets(
+                hs_to_cover, rem_sorted, state.var_child_subset_bitvec
             ):
-                child_subset = self.child_subset(
-                    hs, rem_sorted, subset_bits, hs_already_covered, child_choice
-                )
-                state.num_done += 1
-                if child_subset is not None:
-                    yield child_subset
-                    if self._update_period is None:
-                        self._print_status_line()
-                state.var_child_subset_bitvec += 1
+                # the subset in progress counts as done; a save counts it undone
+                state.var_child_subset_bitvec = bits
+                state.num_done = state.subsets_before + 1
+                yield child_subset | child_choice
+                if self._update_period is None:
+                    self._print_status_line()
             state.var_child_subset_bitvec = 0
             state.fix_child_choice_idx += 1
+            state.num_done = state.subsets_before
 
     # -- top-level symmetry optimisation ------------------------------------
 
@@ -751,9 +734,6 @@ class SpaceFinder:
         if len(perm_group) == 1 or not hs:
             return [(frozenset(), frozenset())]
 
-        def selectable(s: Set[History], must_include: Set[History]) -> bool:
-            return not (s & children_to_avoid) and must_include <= s
-
         best: Optional[
             tuple[History, dict[frozenset[History], list[PermGroupEl]]]
         ] = None
@@ -761,18 +741,15 @@ class SpaceFinder:
         for h in hs:
             h_children = self._children[h]
             must_include = children_to_include.intersection(h_children)
-            sel_subsets = sorted(
-                (
-                    s
-                    for t in _powerset(h_children)
-                    if selectable(s := frozenset(t), must_include)
-                ),
-                key=lambda s: (-len(s), sorted(s, key=history_sort_key)),
-            )
             orbit_reps: dict[frozenset[History], list[PermGroupEl]] = {}
             seen_imgs: set[frozenset[History]] = set()
-            for ks in sel_subsets:
-                if not ks or ks in seen_imgs:
+            # h_children is sorted, so subsets come largest first and then in
+            # the order of their sorted members
+            subsets = chain.from_iterable(
+                combinations(h_children, r) for r in range(len(h_children), 0, -1)
+            )
+            for ks in map(frozenset, subsets):
+                if ks in seen_imgs or ks & children_to_avoid or not must_include <= ks:
                     continue
                 ks_stab = []
                 for g in perm_group:

@@ -131,18 +131,6 @@ def test_sub_histories_includes_originals_first():
     assert enc.sub_histories([enc.history({"A": 0})]) == (enc.history({"A": 0}),)
 
 
-def test_parents_over_closure():
-    closure = enc.sub_histories(enc.max_histories(2))
-    ps = enc.parents(closure)
-    a0 = enc.history({"A": 0})
-    assert ps[a0] == {
-        enc.history({"A": 0, "B": 0}),
-        enc.history({"A": 0, "B": 1}),
-    }
-    for full in enc.max_histories(2):
-        assert ps[full] == frozenset()
-
-
 def test_history_literals_roundtrip():
     h = enc.history({"A": 0, "C": 1})
     assert enc.format_history(h) == "A/0,C/1"

@@ -1,8 +1,9 @@
 import hashlib
 import io
 import os
+import random
 import shutil
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,15 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from causalspace import enumerator as en
-from causalspace.encoding import bitvec, history, max_histories
+from causalspace.encoding import (
+    bitvec,
+    child_histories,
+    domsize,
+    history,
+    history_sort_key,
+    max_histories,
+    sub_histories,
+)
 from causalspace.symmetry import canonical_rep, perm_table
 
 
@@ -215,16 +224,27 @@ def test_iter_child_subsets_counts():
     assert got == [{1}, {4}, {1, 4}] or len(got) == 3
 
 
-def test_child_subset_decoding():
-    finder = en.SpaceFinder(2, verbose=False)
-    hs = max_histories(2)
-    children = sorted(
-        {k for h in hs for k in finder._children[h]},
-        key=lambda h: (bin(h).count("1"), h),
-    )
-    assert finder.child_subset(hs, children, 0) is None
-    full = finder.child_subset(hs, children, (1 << len(children)) - 1)
-    assert full == set(children)
+def reference_child_subsets(hs):
+    """Every non-empty subset of the sorted children giving each history a
+    child, in binary order over the children."""
+    children = sorted({k for h in hs for k in child_histories(h)}, key=history_sort_key)
+    out = []
+    for bits in range(1, 1 << len(children)):
+        subset = {k for i, k in enumerate(children) if bits >> i & 1}
+        if all(subset.intersection(child_histories(h)) for h in hs):
+            out.append(subset)
+    return out
+
+
+def test_iter_child_subsets_matches_reference():
+    cases = [(2, max_histories(2)), (3, max_histories(3))]
+    for n, size, seed_ in ((3, 2, 0), (3, 2, 1), (4, 3, 2), (4, 3, 3), (4, 2, 4)):
+        # nested levels choose among the histories with `size` events
+        level = [h for h in sub_histories(max_histories(n)) if domsize(h) == size]
+        cases.append((n, random.Random(seed_).sample(level, 3)))
+    for n, hs in cases:
+        finder = en.SpaceFinder(n, verbose=False)
+        assert list(finder.iter_child_subsets(hs)) == reference_child_subsets(hs)
 
 
 def test_hsets_byte_format():
@@ -367,6 +387,8 @@ def test_load_state_rejects_out_of_range_subset_position(tmp_path):
     # just past the last subset of a fixed choice is a valid position
     end = 1 << remaining.bit_count()
     for position, valid in ((end, True), (end + 1, False), (1 << 40, False)):
+        # num_done moves with the position, so only the range can fail
+        state.num_done += position - state.var_child_subset_bitvec
         state.var_child_subset_bitvec = position
         with open(path, "wb") as f:
             en.write_state(state, f)
@@ -375,6 +397,39 @@ def test_load_state_rejects_out_of_range_subset_position(tmp_path):
         else:
             with pytest.raises(ValueError):
                 en.SpaceFinder(3, verbose=False).load_state(path)
+
+
+def test_load_state_rejects_counter_bit_flips(tmp_path):
+    # bytes 8-15 hold num_done, bytes 24-39 the top-level position, and
+    # num_done must be the count the position implies
+    path = str(tmp_path / "state.bin")
+    finder = en.SpaceFinder(3, verbose=False)
+    finder.blank_state()
+    for _ in islice(finder.iter_find_eq_classes(), 40):
+        pass
+    finder.save_state(path, save_backup=False)
+    data = Path(path).read_bytes()
+    for byte in chain(range(8, 16), range(24, 40)):
+        for bit in range(8):
+            blob = bytearray(data)
+            blob[byte] ^= 1 << bit
+            Path(path).write_bytes(blob)
+            with pytest.raises((ValueError, en.CorruptStateError)):
+                en.SpaceFinder(3, verbose=False).load_state(path)
+
+
+def test_closed_stream_continues_without_recounting():
+    # the top-level subset in progress when a stream is closed is redone by
+    # the next stream, and counted once
+    finder = en.SpaceFinder(3, verbose=False)
+    finder.blank_state()
+    stream = finder.iter_find_eq_classes()
+    assert len(list(islice(stream, 5))) == 5
+    stream.close()
+    finder.find_eq_classes()
+    m = finder.metrics()
+    assert (m.num_eq_classes, m.num_spaces) == (102, 2644)
+    assert m.num_done == m.num_todo == 922
 
 
 def test_load_state_rejects_visited_spaces_without_plan(tmp_path):
