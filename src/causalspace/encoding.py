@@ -270,7 +270,9 @@ def parse_hset(text: str) -> HistorySet:
         if value < 0:
             raise ValueError("History-set bitvector must be >= 0.")
         return value
-    body = text[1:-1] if text.endswith("]") else text[1:]
+    if not text.endswith("]"):
+        raise ValueError(f"Unclosed history-set literal {text!r}.")
+    body = text[1:-1]
     if not body.strip():
         return 0
     sep = ";" if ";" in body else ","

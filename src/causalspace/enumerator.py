@@ -3,10 +3,12 @@
 The search proceeds level by level: level ``l`` chooses the input histories
 with ``n - l`` events. For each set of candidate histories it iterates over
 subsets of their children such that every candidate keeps at least one
-child, discards candidates whose items are fully covered by discovered
-sub-histories (``winnowing``, since such candidates cannot be join-prime),
-skips partial spaces already seen up to event-input permutation, and emits
-a representative when only single-event children remain.
+child. It keeps only the join-prime histories of the partial space so far
+(``winnowing``): a history stays iff its strictly smaller members, those
+kept from earlier levels and the chosen children inside it, do not cover
+its items. It skips partial spaces already seen up to event-input
+permutation. The children chosen at level ``n - 2`` are single-event
+histories, so that level emits class representatives.
 
 A node numbers its sorted children, so a children subset is a position
 whose bit ``i`` selects child ``i``, walked in binary order. Coverage is a
@@ -43,7 +45,9 @@ import os
 import sys
 from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import chain, combinations
+from operator import or_
 from time import perf_counter
 from typing import BinaryIO, Callable, Optional
 
@@ -52,12 +56,10 @@ from .encoding import (
     HistorySet,
     bitvec,
     child_histories,
-    domsize,
     history_sort_key,
     is_subset,
     iter_bitvec,
     max_histories,
-    sub,
 )
 from .symmetry import PermGroupEl, PermTable, perm_table, space_orbit
 
@@ -283,10 +285,8 @@ class SpaceFinder:
         self._max_histories = max_histories(num_events)
         self._perm_group = self._table.group
         hs = self._table.histories
-        self._children = {
-            h: tuple(sorted(child_histories(h), key=history_sort_key)) for h in hs
-        }
-        self._domsize = {h: domsize(h) for h in hs}
+        # child_histories lists children in history_sort_key order
+        self._children = {h: child_histories(h) for h in hs}
         self._all_children = bitvec(
             k for h in self._max_histories for k in self._children[h]
         )
@@ -361,8 +361,9 @@ class SpaceFinder:
                 raise ValueError("State has progress but no top-level plan.")
             return
         if n == 1:
-            if state.child_choices_list or state.num_todo != 1:
-                raise ValueError("State does not describe a 1-event search.")
+            # a 1-event search is done in one step, so a planned state is done
+            if state != self._single_event_state():
+                raise ValueError("State does not describe a finished 1-event search.")
             return
         for v in chain(state.child_choices_list, state.remaining_children_list):
             if not is_subset(v, self._all_children):
@@ -574,28 +575,27 @@ class SpaceFinder:
                 self._print_status_line()
             yield rep
 
+    def _single_event_state(self) -> SearchState:
+        """The finished 1-event search: its one space is its one class."""
+        return SearchState(1, 1, 1, eq_classes={bitvec(self._max_histories): None})
+
     def _find_single_event(self) -> Iterator[HistorySet]:
         # the level structure assumes histories with at least two events, so
         # the unique single-event space is emitted directly
-        state = self.state
-        if state.toplevel_ready and state.num_done >= state.num_todo:
+        if self.state.toplevel_ready:
             return
-        state.num_todo = 1
-        space = bitvec(self._max_histories)
-        state.eq_classes[space] = None
-        state.num_spaces = 1
-        state.num_done = 1
+        self._state = self._single_event_state()
         self._num_eq_classes_since_last_save += 1
-        yield space
+        yield from self.state.eq_classes
 
     def _find_eq_classes(
-        self,
-        new_hs: Collection[History],
-        hs: Sequence[History] = (),
-        hs_rest: Sequence[History] = (),
-        level: int = 0,
+        self, new_hs: Collection[History], hs: Sequence[History] = (), level: int = 0
     ) -> Iterator[HistorySet]:
         hs_so_far = tuple(chain(new_hs, hs))
+        below = [
+            reduce(or_, (k for k in hs_so_far if k != h and k & h == k), 0)
+            for h in hs_so_far
+        ]
         state = self.state
         dense_images = self._table.dense_images
         seen = self._seen
@@ -604,15 +604,16 @@ class SpaceFinder:
         else:
             iter_child_subsets = self.iter_child_subsets
         for child_subset in iter_child_subsets(new_hs):
-            hs_so_far_rest = list(chain(new_hs, hs_rest))
-            for k in child_subset:
-                for j, h in enumerate(hs_so_far):
-                    if is_subset(k, h):
-                        hs_so_far_rest[j] = sub(hs_so_far_rest[j], k)
-            winnowed_hs = tuple(
-                h for j, h in enumerate(hs_so_far) if hs_so_far_rest[j]
-            )
-            winnowed_hs_rest = tuple(h for h in hs_so_far_rest if h)
+            # a history stays iff it is join-prime: its strictly smaller
+            # members, those in hs_so_far and the chosen children inside it,
+            # do not cover its items
+            winnowed_hs = []
+            for h, cover in zip(hs_so_far, below):
+                for k in child_subset:
+                    if k & h == k:
+                        cover |= k
+                if cover != h:
+                    winnowed_hs.append(h)
             partial_space = set(chain(child_subset, winnowed_hs))
             # an orbit meets the seen spaces iff its canonical key is seen
             imgs = dense_images(partial_space)
@@ -620,15 +621,14 @@ class SpaceFinder:
             if canon in seen:
                 continue
             partial_space_bitvec = bitvec(partial_space)
-            if all(self._domsize[h] == 1 for h in child_subset):
+            # the children of level n - 2 are single-event histories
+            if level == self._num_events - 2:
                 state.num_spaces += len(set(imgs))
                 state.eq_classes[partial_space_bitvec] = None
                 seen.add(canon)
                 yield partial_space_bitvec
             else:
-                yield from self._find_eq_classes(
-                    child_subset, winnowed_hs, winnowed_hs_rest, level + 1
-                )
+                yield from self._find_eq_classes(child_subset, winnowed_hs, level + 1)
                 # marked visited only once fully explored, so a state
                 # saved after an abandoned run still resumes exactly;
                 # partial spaces at distinct levels can never collide
@@ -660,14 +660,9 @@ class SpaceFinder:
             if all(map(bits.__and__, masks)):
                 yield bits, {child_hists[i] for i in iter_bitvec(bits)}
 
-    def _toplevel_plan(
+    def _iter_child_subsets_toplevel(
         self, hs: Sequence[History]
-    ) -> tuple[tuple[frozenset[History], ...], tuple[set[History], ...]]:
-        """The top-level plan, decoded from the state.
-
-        A fresh plan is computed and stored in the state first, so a fresh
-        and a loaded plan take the same path.
-        """
+    ) -> Iterator[set[History]]:
         state = self.state
         if not state.toplevel_ready:
             # the identity comes first in group order, and a one-element
@@ -682,23 +677,14 @@ class SpaceFinder:
             state.remaining_children_list = [bitvec(r) for r in remaining]
             state.fix_child_choice_idx = 0
             state.var_child_subset_bitvec = 0
-        return (
-            tuple(frozenset(iter_bitvec(v)) for v in state.child_choices_list),
-            tuple(set(iter_bitvec(v)) for v in state.remaining_children_list),
-        )
-
-    def _iter_child_subsets_toplevel(
-        self, hs: Sequence[History]
-    ) -> Iterator[set[History]]:
-        state = self.state
-        choices, remaining_list = self._toplevel_plan(hs)
         if self._verbose:
             self._print_fn(
                 f"Iterating over {state.num_todo} top-level child history subsets."
             )
         self._print_status_header()
-        start = state.fix_child_choice_idx
-        for child_choice, remaining in zip(choices[start:], remaining_list[start:]):
+        for idx in range(state.fix_child_choice_idx, len(state.child_choices_list)):
+            child_choice = set(iter_bitvec(state.child_choices_list[idx]))
+            remaining = iter_bitvec(state.remaining_children_list[idx])
             rem_sorted = sorted(remaining, key=history_sort_key)
             hs_to_cover = [h for h in hs if child_choice.isdisjoint(self._children[h])]
             for bits, child_subset in self._child_subsets(
@@ -769,7 +755,8 @@ class SpaceFinder:
         best_h, best_orbit_reps = best
         hs_new_fixed.append(best_h)
         new_hs = tuple(h for h in hs if h not in hs_new_fixed)
-        seen: set[tuple[frozenset[History], frozenset[History]]] = set()
+        # each choice meets best_h's children in exactly its ks, so no two
+        # orbit representatives yield the same choice
         child_choices = []
         for ks, ks_stab in best_orbit_reps.items():
             new_include = children_to_include | ks
@@ -779,10 +766,7 @@ class SpaceFinder:
             for rec_include, rec_avoid in self.fix_child_choices(
                 new_hs, ks_stab, new_include, new_avoid
             ):
-                choice = (rec_include | ks, rec_avoid | new_avoid)
-                if choice not in seen:
-                    seen.add(choice)
-                    child_choices.append(choice)
+                child_choices.append((rec_include | ks, rec_avoid | new_avoid))
         return child_choices
 
     def opt_fix_child_choices(

@@ -144,6 +144,12 @@ def test_classify_space_outside_hierarchy(capsys):
     assert capsys.readouterr().err == "classify: Space is not part of the hierarchy.\n"
 
 
+def test_classify_rejects_unclosed_space_literal(capsys):
+    argv = ["classify", "--events", "2", "--space", "[A/0; A/1; B/0; B/1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("classify: ")
+
+
 def _count_build_equations(monkeypatch):
     calls = []
     build = causaltope.build_equations

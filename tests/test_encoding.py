@@ -147,3 +147,10 @@ def test_hset_literals():
     assert enc.parse_hset("[A/0, A/1]") == enc.bitvec(
         [enc.history({"A": 0}), enc.history({"A": 1})]
     )
+
+
+def test_hset_literal_needs_closing_bracket():
+    for text in ("[", "[A/0; A/1; B/0; B/1"):
+        with pytest.raises(ValueError, match="Unclosed"):
+            enc.parse_hset(text)
+    assert enc.parse_hset("[]") == 0

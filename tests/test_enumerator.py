@@ -3,6 +3,7 @@ import io
 import os
 import random
 import shutil
+from dataclasses import replace
 from itertools import chain, islice
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from causalspace.encoding import (
     max_histories,
     sub_histories,
 )
+from causalspace.spaces import prime_hset
 from causalspace.symmetry import canonical_rep, perm_table
 
 
@@ -96,6 +98,19 @@ def test_four_event_checkpoint_pinned(tmp_path):
         assert hashlib.sha256(f.read()).hexdigest() == CHECKPOINT4_SHA256
 
 
+CLASSES4_SHA256 = "3517bdb8059381d25153964636d1cd26a5f6c160687ace87aa7893a9aa6d8e11"
+
+
+def test_four_event_classes_pinned():
+    # the 1,000 classes after the first of a blank 4-event search, each as
+    # 1,000 big-endian bytes
+    finder = en.SpaceFinder(4, verbose=False)
+    finder.blank_state()
+    classes = islice(finder.iter_find_eq_classes(), 1, 1001)
+    blob = b"".join(c.to_bytes(1000, byteorder="big") for c in classes)
+    assert hashlib.sha256(blob).hexdigest() == CLASSES4_SHA256
+
+
 def test_four_event_resume_matches_straight_run(tmp_path):
     # a loaded state must skip orbits seen before the save, also those of the
     # top-level subset that is redone on resume
@@ -118,6 +133,18 @@ def test_three_event_search_exact(enumeration3):
     classes, num_spaces = enumeration3
     assert len(classes) == 102
     assert num_spaces == 2644
+
+
+def test_visited_spaces_and_classes_are_join_prime():
+    # winnowing keeps exactly the join-prime members of each partial space;
+    # the stream leaves the visited spaces in the state, find_eq_classes not
+    finder = en.SpaceFinder(3, verbose=False)
+    finder.blank_state()
+    classes = list(finder.iter_find_eq_classes())
+    visited = list(finder.state.partial_spaces_visited)
+    assert (len(classes), len(visited)) == (102, 67)
+    for s in chain(visited, classes):
+        assert prime_hset(s) == s
 
 
 def test_status_updates_and_metrics(capsys):
@@ -430,6 +457,29 @@ def test_closed_stream_continues_without_recounting():
     m = finder.metrics()
     assert (m.num_eq_classes, m.num_spaces) == (102, 2644)
     assert m.num_done == m.num_todo == 922
+
+
+def test_load_state_rejects_unfinished_one_event_states(tmp_path):
+    # a 1-event search finishes in one step, so only the finished state loads
+    path = str(tmp_path / "n1.bin")
+    run_finder(1, filename=path)
+    with open(path, "rb") as f:
+        finished = en.read_state(f)
+    for changes in (
+        {"num_done": 7},
+        {"num_done": 0},
+        {"fix_child_choice_idx": 5, "var_child_subset_bitvec": 9},
+    ):
+        with open(path, "wb") as f:
+            en.write_state(replace(finished, **changes), f)
+        with pytest.raises(ValueError, match="1-event"):
+            en.SpaceFinder(1, verbose=False).load_state(path)
+    with open(path, "wb") as f:
+        en.write_state(finished, f)
+    finder = en.SpaceFinder(1, verbose=False)
+    finder.load_state(path)
+    assert list(finder.iter_find_eq_classes()) == []
+    assert finder.metrics().perc_completed == 1.0
 
 
 def test_load_state_rejects_visited_spaces_without_plan(tmp_path):
