@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -297,6 +298,22 @@ def test_orders_exports(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["orders"]) == 4
     assert len(payload["covering_edges"]) == 4
+
+
+# sha256 of the stdout of ``orders --events n --format fmt``
+ORDERS_DIGESTS = {
+    (3, "dot"): "5d542cc4f8911254fe58b799cbc0470ec837e4cbf825a9602198d27514dcff3f",
+    (3, "json"): "1d51e7e34e0eedc83ca460893eaaa24127e1e1148a0d1286d824e10e7854bb51",
+    (4, "dot"): "f05296ae8225e1d94dc81e25f692c4b01835f178edb7b0b2c62e7991057b671a",
+    (4, "json"): "a3c9b8f9c67edbcf0db9849505b0dd30d3ebea838b5a40f5c922f0165d25e9fe",
+}
+
+
+@pytest.mark.parametrize("n,fmt", sorted(ORDERS_DIGESTS))
+def test_orders_output_pinned(capsys, n, fmt):
+    assert main(["orders", "--events", str(n), "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == ORDERS_DIGESTS[n, fmt]
 
 
 def test_outputs_are_deterministic(capsys):

@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from causalspace import orders as ords
-from causalspace.encoding import iter_bitvec
+from causalspace.encoding import is_subset, iter_bitvec
 from causalspace.spaces import Space, ext_hset
 
 TOTAL_ABC = ords.total_order("A", "B", "C")
@@ -116,13 +118,35 @@ def test_hist_space_is_join_prime_and_ext_matches_closure():
 def test_order_inclusion_matches_ext_inclusion():
     # inclusion of orders is equivalent to reverse inclusion of extended spaces
     all3 = ords.all_orders(3)
-    from causalspace.encoding import is_subset
-
-    for a in all3[::2]:
-        for b in all3[::3]:
+    for a in all3:
+        for b in all3:
             lhs = ords.order_leq(a, b)
             rhs = is_subset(ords.ext_hist_space(b), ords.ext_hist_space(a))
             assert lhs == rhs
+
+
+def test_order_leq_across_event_sets():
+    # an order on fewer events is below one on more events iff each of its
+    # relations holds there; never the other way round
+    for a in ords.all_orders(2):
+        for b in ords.all_orders(3):
+            expected = all(
+                b.leq(x, y) for x in a.events for y in a.events if a.leq(x, y)
+            )
+            assert ords.order_leq(a, b) == expected
+            assert not ords.order_leq(b, a)
+
+
+def test_is_definite_is_antisymmetry():
+    for n in range(1, 5):
+        for o in ords.all_orders(n):
+            antisymmetric = not any(
+                o.leq(x, y) and o.leq(y, x)
+                for x in o.events
+                for y in o.events
+                if x != y
+            )
+            assert ords.is_definite(o) == antisymmetric
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 29)])
@@ -152,6 +176,46 @@ def test_parse_and_format_roundtrip():
     for text in cases:
         order = ords.parse_order(text)
         assert ords.parse_order(ords.format_order(order)) == order
+
+
+# sha256 of the formatted orders of ``all_orders(n)``, one per line
+FORMAT_DIGESTS = {
+    1: "03fe3c98e951eac1c00fb2f3128cb66b93f6be16170e8b6ed223f9b0f3970a56",
+    2: "114b69e80c747d083a44d73c4c47b643e3042a1a7983353eeb5456771e29d48b",
+    3: "362a4e73e3d65ddcc2889898064c43543401585e4c2d32300b50cfc1a32f513c",
+    4: "b5be442957fb9b4ce596dc1bbffd54768021b41957d44d26ba2796daae738483",
+}
+
+
+@pytest.mark.parametrize("n", sorted(FORMAT_DIGESTS))
+def test_format_order_pinned(n):
+    text = "\n".join(ords.format_order(o) for o in ords.all_orders(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_order_roundtrips(n):
+    for order in ords.all_orders(n):
+        assert ords.parse_order(ords.format_order(order)) == order
+
+
+def test_catalogue_orders_parse(catalogue3):
+    texts = {
+        text
+        for node in catalogue3.values()
+        for text in (node["order"]["induced_by"], node["order"]["refines"])
+        if text is not None
+    }
+    assert len(texts) == 13
+    for text in texts:
+        assert ords.format_order(ords.parse_order(text)) == text
+
+
+def test_parse_order_whitespace_and_case():
+    assert ords.parse_order("total( A , { B , C } )") == BC_GROUP
+    assert ords.parse_order(" total(a,b) | discrete( c ) ") == ords.parse_order(
+        "total(A,B)|discrete(C)"
+    )
 
 
 def test_parse_order_examples():
