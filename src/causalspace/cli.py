@@ -12,8 +12,8 @@ Subcommands:
 * ``orders``: DOT or JSON export of the hierarchy of causal orders.
 
 Space literals are either a decimal history-set bitvector or a bracketed
-list like ``[A/0; A/1; B/0,C/1]``. Order literals follow the grammar in
-``causalspace.orders`` (for example ``total(A,B)|discrete(C)``). The
+list like ``[A/0; A/1; B/0,C/1]``. Orders are printed in the literal syntax
+of ``causalspace.orders`` (for example ``total(A,B)|discrete(C)``). The
 environment variable ``CAUSALSPACE_STATE_DIR`` sets the default directory
 for state files and exports.
 """
@@ -239,8 +239,11 @@ def cmd_causaltope(args: argparse.Namespace) -> int:
 
 
 def cmd_orders(args: argparse.Namespace) -> int:
-    if not 1 <= args.events <= 4:
-        print("orders: --events must be 1-4", file=sys.stderr)
+    if not 1 <= args.events <= orders.MAX_ORDER_HIERARCHY_EVENTS:
+        print(
+            f"orders: --events must be 1-{orders.MAX_ORDER_HIERARCHY_EVENTS}",
+            file=sys.stderr,
+        )
         return 2
     all_orders, edges = orders.order_hierarchy(args.events)
     if args.format == "dot":

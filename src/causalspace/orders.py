@@ -16,12 +16,14 @@ by :func:`parse_order` is::
 indefinite causal order, as in ``total(A,{B,C})``); ``discrete`` relates no
 events; ``indiscrete`` relates all of them. Terms over different event sets
 are joined over the union, with missing events treated as discrete.
+Events are single letters, read case-insensitively, and whitespace may
+surround any token. Anything else raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -79,19 +81,12 @@ class CausalOrder:
 
 
 def _closure(events: tuple[Event, ...], below: list[int]) -> CausalOrder:
-    n = len(events)
-    for i in range(n):
-        below[i] |= 1 << i
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = below[i]
-            for j in iter_bitvec(below[i]):
-                acc |= below[j]
-            if acc != below[i]:
-                below[i] = acc
-                changed = True
+    """The reflexive and transitive closure of ``below`` (Warshall)."""
+    below = [m | 1 << i for i, m in enumerate(below)]
+    for k in range(len(below)):
+        for i, m in enumerate(below):
+            if m >> k & 1:
+                below[i] = m | below[k]
     return CausalOrder(events, tuple(below))
 
 
@@ -107,42 +102,36 @@ def order_from_pairs(
     return _closure(evs, below)
 
 
+def _chain_pairs(groups: Sequence[Collection[Event]]) -> list[tuple[Event, Event]]:
+    """``(a, b)`` for each ``a`` in a group and ``b`` in it or a later one."""
+    events = [e for g in groups for e in g]
+    if len(set(events)) != len(events):
+        raise ValueError("Events must not be repeated across groups.")
+    return [
+        (a, b) for i, g in enumerate(groups) for h in groups[i:] for a in g for b in h
+    ]
+
+
 def discrete_order(events: Iterable[Event]) -> CausalOrder:
     """The order relating no two distinct events."""
-    evs = tuple(sorted(set(events)))
-    return CausalOrder(evs, tuple(1 << i for i in range(len(evs))))
+    return order_from_pairs(events, ())
 
 
 def indiscrete_order(events: Iterable[Event]) -> CausalOrder:
     """The order placing all events in indefinite causal order."""
-    evs = tuple(sorted(set(events)))
-    full = (1 << len(evs)) - 1
-    return CausalOrder(evs, (full,) * len(evs))
+    evs = set(events)
+    return order_from_pairs(evs, _chain_pairs([evs]))
 
 
-def total_order(*groups: Iterable[Event] | Event) -> CausalOrder:
+def total_order(*groups: Iterable[Event]) -> CausalOrder:
     """A chain of event groups, each group internally indefinite.
 
     ``total_order("A", "B")`` is the definite total order A before B;
     ``total_order("A", "BC")`` puts B and C in indefinite causal order
     after A.
     """
-    norm: list[tuple[Event, ...]] = []
-    for g in groups:
-        members = (g,) if isinstance(g, str) and len(g) == 1 else tuple(g)
-        norm.append(members)
-    events = tuple(sorted(e for g in norm for e in g))
-    if len(set(events)) != len(events):
-        raise ValueError("Events must not be repeated across groups.")
-    pos = {e: i for i, e in enumerate(events)}
-    below = [0] * len(events)
-    seen_mask = 0
-    for g in norm:
-        g_mask = bitvec(pos[e] for e in g)
-        seen_mask |= g_mask
-        for e in g:
-            below[pos[e]] = seen_mask
-    return CausalOrder(events, tuple(below))
+    norm = [tuple(g) for g in groups]
+    return order_from_pairs((e for g in norm for e in g), _chain_pairs(norm))
 
 
 def classify(order: CausalOrder, a: Event, b: Event) -> CausalRelation:
@@ -179,13 +168,11 @@ def causal_eq_class(order: CausalOrder, e: Event) -> frozenset[Event]:
 
 
 def is_definite(order: CausalOrder) -> bool:
-    """Whether the causal relation is antisymmetric."""
-    n = len(order.events)
-    for i in range(n):
-        for j in iter_bitvec(order.below[i]):
-            if j != i and order.below[j] & (1 << i):
-                return False
-    return True
+    """Whether the causal relation is antisymmetric.
+
+    Two events have the same ``below`` mask iff each is below the other.
+    """
+    return len(set(order.below)) == len(order.below)
 
 
 def lowerset_masks(order: CausalOrder) -> tuple[int, ...]:
@@ -212,13 +199,14 @@ def order_leq(a: CausalOrder, b: CausalOrder) -> bool:
     Holds iff the events of ``a`` are contained in those of ``b`` and the
     causal relation of ``a`` is contained in that of ``b``.
     """
-    if not set(a.events) <= set(b.events):
-        return False
-    for i, e in enumerate(a.events):
-        for j in iter_bitvec(a.below[i]):
-            if not b.leq(a.events[j], e):
-                return False
-    return True
+    if a.events != b.events:
+        if not set(a.events) <= set(b.events):
+            return False
+        pairs = (
+            (a.events[j], e) for e, m in zip(a.events, a.below) for j in iter_bitvec(m)
+        )
+        a = order_from_pairs(b.events, pairs)
+    return all(x == x & y for x, y in zip(a.below, b.below))
 
 
 def _require_same_events(a: CausalOrder, b: CausalOrder) -> None:
@@ -238,19 +226,6 @@ def order_meet(a: CausalOrder, b: CausalOrder) -> CausalOrder:
     _require_same_events(a, b)
     below = tuple(ma & mb for ma, mb in zip(a.below, b.below))
     return CausalOrder(a.events, below)
-
-
-def extend_order(order: CausalOrder, events: Iterable[Event]) -> CausalOrder:
-    """Embeds an order into a larger event set, new events discrete."""
-    evs = tuple(sorted(set(events) | set(order.events)))
-    pos = {e: i for i, e in enumerate(evs)}
-    below = [1 << i for i in range(len(evs))]
-    for i, e in enumerate(order.events):
-        mask = 0
-        for j in iter_bitvec(order.below[i]):
-            mask |= 1 << pos[order.events[j]]
-        below[pos[e]] = mask
-    return CausalOrder(evs, tuple(below))
 
 
 @lru_cache(maxsize=None)
@@ -311,6 +286,11 @@ def _is_transitive(below: Sequence[int]) -> bool:
     return True
 
 
+# all_orders(5) alone takes seconds (6,942 orders), and the inclusion matrix
+# and covering scan over them would take minutes.
+MAX_ORDER_HIERARCHY_EVENTS = 4
+
+
 def order_hierarchy(
     num_events: int,
 ) -> tuple[tuple[CausalOrder, ...], tuple[tuple[int, int], ...]]:
@@ -319,7 +299,13 @@ def order_hierarchy(
     Returns ``(orders, edges)`` where ``(i, j)`` in ``edges`` means
     ``orders[i] < orders[j]`` with no order strictly in between. The
     discrete order is the minimum and the indiscrete order the maximum.
+    Raises ``ValueError`` beyond ``MAX_ORDER_HIERARCHY_EVENTS`` events.
     """
+    if num_events > MAX_ORDER_HIERARCHY_EVENTS:
+        raise ValueError(
+            f"The order hierarchy is built for at most {MAX_ORDER_HIERARCHY_EVENTS}"
+            f" events, not {num_events}."
+        )
     orders = all_orders(num_events)
     n = len(orders)
     lt = [
@@ -335,116 +321,88 @@ def order_hierarchy(
     return orders, tuple(edges)
 
 
-_TERM_RE = re.compile(r"\s*(total|discrete|indiscrete)\s*\(([^()]*)\)\s*$")
+_TERM_RE = re.compile(r"\s*(total|discrete|indiscrete)\s*\(([^()]*)\)\s*")
+_EVENT = r"\s*[A-Za-z]\s*"
+_GROUP = rf"(?:{_EVENT}|\s*\{{{_EVENT}(?:,{_EVENT})*\}}\s*)"
+_ARGS_RE = re.compile(rf"{_GROUP}(?:,{_GROUP})*")
 
 
 def parse_order(text: str) -> CausalOrder:
     """Parses an order literal; see the module docstring for the grammar."""
-    terms = []
+    events: set[Event] = set()
+    pairs: list[tuple[Event, Event]] = []
     for chunk in text.split("|"):
-        m = _TERM_RE.match(chunk)
+        m = _TERM_RE.fullmatch(chunk)
         if m is None:
             raise ValueError(f"Invalid order term {chunk.strip()!r}.")
-        kind, args = m.group(1), m.group(2)
-        groups = _parse_groups(args)
-        flat = [e for g in groups for e in g]
-        if kind == "discrete":
-            terms.append(discrete_order(flat))
-        elif kind == "indiscrete":
-            terms.append(indiscrete_order(flat))
-        else:
-            terms.append(total_order(*groups))
-    events = sorted(set(e for t in terms for e in t.events))
-    joined = extend_order(terms[0], events)
-    for t in terms[1:]:
-        joined = order_join(joined, extend_order(t, events))
-    return joined
-
-
-def _parse_groups(args: str) -> list[tuple[Event, ...]]:
-    groups: list[tuple[Event, ...]] = []
-    for part in re.findall(r"\{[^{}]*\}|\[[^\[\]]*\]|[A-Za-z]", args):
-        if part[0] in "{[":
-            members = tuple(
-                e.strip().upper() for e in part[1:-1].split(",") if e.strip()
+        kind, args = m.groups()
+        if _ARGS_RE.fullmatch(args) is None:
+            raise ValueError(
+                f"Invalid arguments {args!r} in order term {chunk.strip()!r}."
             )
-            groups.append(members)
-        else:
-            groups.append((part.upper(),))
-    if not groups:
-        raise ValueError("Order term must name at least one event.")
-    return groups
+        parts = re.findall(r"\{[^}]*\}|[A-Z]", args.upper())
+        groups = [re.findall("[A-Z]", part) for part in parts]
+        flat = {e for g in groups for e in g}
+        events |= flat
+        if kind == "total":
+            pairs += _chain_pairs(groups)
+        elif kind == "indiscrete":
+            pairs += _chain_pairs([flat])
+    return order_from_pairs(events, pairs)
 
 
 def format_order(order: CausalOrder) -> str:
-    """Renders an order in the literal syntax accepted by ``parse_order``."""
-    pos_of = {e: i for i, e in enumerate(order.events)}
-    classes: list[tuple[Event, ...]] = []
-    seen: set[Event] = set()
-    for e in order.events:
-        if e not in seen:
-            cls = tuple(sorted(causal_eq_class(order, e)))
-            classes.append(cls)
-            seen.update(cls)
-    comps = _related_components(order, classes)
-    singles: list[Event] = []
-    terms: list[str] = []
-    for comp in comps:
-        if len(comp) == 1 and len(comp[0]) == 1:
-            singles.extend(comp[0])
-            continue
-        terms.extend(_format_component(order, comp, pos_of))
-    if singles or not terms:
-        terms.append("discrete(" + ",".join(sorted(singles)) + ")")
-    return "|".join(terms)
+    """Renders an order in the literal syntax accepted by ``parse_order``.
 
-
-def _related_components(
-    order: CausalOrder, classes: list[tuple[Event, ...]]
-) -> list[list[tuple[Event, ...]]]:
-    index = {cls: i for i, cls in enumerate(classes)}
-    parent = list(range(len(classes)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in classes:
-        for b in classes:
-            if a is not b and (order.leq(a[0], b[0]) or order.leq(b[0], a[0])):
-                parent[find(index[a])] = find(index[b])
-    comps: dict[int, list[tuple[Event, ...]]] = {}
-    for cls in classes:
-        comps.setdefault(find(index[cls]), []).append(cls)
-    return [comps[r] for r in sorted(comps, key=lambda r: classes[r][0])]
-
-
-def _format_component(
-    order: CausalOrder, comp: list[tuple[Event, ...]], pos_of: dict[Event, int]
-) -> list[str]:
-    def fmt_group(cls: tuple[Event, ...]) -> str:
-        return cls[0] if len(cls) == 1 else "{" + ",".join(cls) + "}"
-
-    chain = sorted(comp, key=lambda cls: sum(order.leq(o[0], cls[0]) for o in comp))
-    is_chain = all(
-        order.leq(chain[i][0], chain[i + 1][0]) for i in range(len(chain) - 1)
+    Each comparability component that relates two events is one term:
+    ``indiscrete`` for a single class of equivalent events, ``total`` for a
+    chain of classes, else one ``total`` per covering pair of classes.
+    Components come in the order of their last class's first event, and
+    events related to no other event close the literal in one ``discrete``.
+    """
+    events, below, n = order.events, order.below, len(order.events)
+    above = [bitvec(j for j in range(n) if below[j] >> i & 1) for i in range(n)]
+    related = [b | a for b, a in zip(below, above)]
+    # the first event of each equivalence class below[i] & above[i]
+    firsts = bitvec(
+        i for i, (b, a) in enumerate(zip(below, above)) if not b & a & ((1 << i) - 1)
     )
-    if is_chain:
-        if len(chain) == 1:
-            return ["indiscrete(" + ",".join(chain[0]) + ")"]
-        return ["total(" + ",".join(fmt_group(c) for c in chain) + ")"]
-    # fall back to one total(...) term per covering pair of classes
-    terms = []
-    for a in comp:
-        for b in comp:
-            if a is b or not order.leq(a[0], b[0]):
-                continue
-            if any(
-                c is not a and c is not b and order.leq(a[0], c[0]) and order.leq(c[0], b[0])
-                for c in comp
-            ):
-                continue
-            terms.append(f"total({fmt_group(a)},{fmt_group(b)})")
-    return sorted(terms)
+
+    def names(mask: int) -> str:
+        return ",".join(events[i] for i in iter_bitvec(mask))
+
+    def group(i: int) -> str:
+        cls = below[i] & above[i]
+        return names(cls) if cls & (cls - 1) == 0 else "{" + names(cls) + "}"
+
+    comps = []
+    rest = (1 << n) - 1
+    while rest:
+        comp, grown = 0, rest & -rest
+        while grown != comp:
+            comp = grown
+            for i in iter_bitvec(comp):
+                grown |= related[i]
+        comps.append(comp)
+        rest &= ~comp
+    singles, terms = 0, []
+    for comp in sorted(comps, key=lambda c: (c & firsts).bit_length()):
+        classes = list(iter_bitvec(comp & firsts))
+        if comp & (comp - 1) == 0:
+            singles |= comp
+        elif len(classes) == 1:
+            terms.append("indiscrete(" + names(comp) + ")")
+        elif all(related[i] == comp for i in classes):
+            chain = sorted(classes, key=lambda i: (below[i] & firsts).bit_count())
+            terms.append("total(" + ",".join(map(group, chain)) + ")")
+        else:
+            # one total(a,b) per class a < b with no event strictly between
+            terms += sorted(
+                f"total({group(a)},{group(b)})"
+                for b in classes
+                for a in iter_bitvec(below[b] & ~above[b] & firsts)
+                if not above[a] & ~below[a] & below[b] & ~above[b]
+            )
+    if singles or not terms:
+        terms.append("discrete(" + names(singles) + ")")
+    return "|".join(terms)

@@ -300,6 +300,12 @@ def test_orders_exports(capsys):
     assert len(payload["covering_edges"]) == 4
 
 
+@pytest.mark.parametrize("events", ["0", "5"])
+def test_orders_rejects_events_out_of_range(capsys, events):
+    assert main(["orders", "--events", events]) == 2
+    assert capsys.readouterr().err == "orders: --events must be 1-4\n"
+
+
 # sha256 of the stdout of ``orders --events n --format fmt``
 ORDERS_DIGESTS = {
     (3, "dot"): "5d542cc4f8911254fe58b799cbc0470ec837e4cbf825a9602198d27514dcff3f",

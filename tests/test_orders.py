@@ -128,7 +128,12 @@ def test_order_inclusion_matches_ext_inclusion():
 def test_order_leq_across_event_sets():
     # an order on fewer events is below one on more events iff each of its
     # relations holds there; never the other way round
-    for a in ords.all_orders(2):
+    pairs = [
+        ords.CausalOrder(events, o.below)
+        for events in [("A", "B"), ("A", "C"), ("B", "C")]
+        for o in ords.all_orders(2)
+    ]
+    for a in pairs:
         for b in ords.all_orders(3):
             expected = all(
                 b.leq(x, y) for x in a.events for y in a.events if a.leq(x, y)
@@ -226,6 +231,34 @@ def test_parse_order_examples():
     )
     with pytest.raises(ValueError):
         ords.parse_order("chain(A,B)")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "total(A,{B,C)",
+        "total(A,1,B)",
+        "total(AB)",
+        "total(A;B)",
+        "total(A,,B)",
+        "total(A,[B,C])",
+        "total(A,{})",
+        "total()",
+        "total(A,B)|",
+    ],
+)
+def test_parse_order_rejects_malformed_literals(text):
+    with pytest.raises(ValueError, match="Invalid"):
+        ords.parse_order(text)
+
+
+def test_order_hierarchy_is_bounded(monkeypatch):
+    def no_enumeration(num_events):
+        raise AssertionError("all_orders must not run")
+
+    monkeypatch.setattr(ords, "all_orders", no_enumeration)
+    with pytest.raises(ValueError, match="at most 4 events"):
+        ords.order_hierarchy(ords.MAX_ORDER_HIERARCHY_EVENTS + 1)
 
 
 def test_hist_space_complete_iff_definite():
