@@ -5,15 +5,15 @@ computes per-class metadata (causal-function counts, tightness, induced
 orders, causaltope dimensions), the covering structure of the refinement
 order condensed by symmetry, and per-class report records with JSON and
 DOT exports. A hierarchy's catalogue (class ids, orbits, join-closures) is
-built up front; each class's facts are computed when first read and
-memoised on its node, so a one-class query analyses only that class.
+built up front as ``PermTable`` dense ints. Each class's facts are computed
+when first read and memoised, so a one-class query analyses only that class.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from importlib import resources
 from operator import and_, or_
 from typing import Iterable, Optional
@@ -50,7 +50,7 @@ from .spaces import (
     prime_hset,
     tightness,
 )
-from .symmetry import canonical_rep, perm_table
+from .symmetry import perm_table
 
 MAX_FUNCTION_EVENTS = 3
 # explicit causal-function tables are 2**n entries of n bits each; counting
@@ -149,29 +149,45 @@ class HierarchyNode:
 
 @dataclass
 class Hierarchy:
-    """The condensed refinement hierarchy of causally complete spaces."""
+    """The condensed refinement hierarchy of causally complete spaces.
+
+    Spaces and join-closures are dense ``PermTable`` ints; the history-set
+    views ``class_of_space`` and ``ext_of_space`` are built on first read.
+    """
 
     num_events: int
-    nodes: dict[int, HierarchyNode]
-    class_of_space: dict[HistorySet, int]
+    nodes: dict[int, HierarchyNode]  # in increasing class id order
+    class_of_key: dict[int, int]
     # the join-closure of every space, the spaces in increasing order
-    ext_of_space: dict[HistorySet, HistorySet]
+    ext_of_key: dict[int, int]
+
+    @cached_property
+    def class_of_space(self) -> dict[HistorySet, int]:
+        sparse = perm_table(self.num_events).sparse
+        return {sparse(k): c for k, c in self.class_of_key.items()}
+
+    @cached_property
+    def ext_of_space(self) -> dict[HistorySet, HistorySet]:
+        sparse = perm_table(self.num_events).sparse
+        return {sparse(k): sparse(e) for k, e in self.ext_of_key.items()}
 
     @property
     def minima(self) -> tuple[int, ...]:
-        return tuple(
-            sorted(i for i, n in self.nodes.items() if not n.closest_refinements)
-        )
+        return tuple(i for i, n in self.nodes.items() if not n.closest_refinements)
 
     @property
     def maxima(self) -> tuple[int, ...]:
-        return tuple(
-            sorted(i for i, n in self.nodes.items() if not n.closest_coarsenings)
-        )
+        return tuple(i for i, n in self.nodes.items() if not n.closest_coarsenings)
 
 
-def _load_class_table(num_events: int) -> dict[HistorySet, tuple[int, HistorySet]]:
-    """Pinned class numbering: canonical representative -> (id, exhibited rep)."""
+def _dense_images(num_events: int, s: HistorySet) -> list[int]:
+    """The dense ints of the images of a history set, the identity's first."""
+    keys = perm_table(num_events).dense_images(iter_bitvec(s))
+    return [int.from_bytes(k, "big") for k in keys]
+
+
+def _load_class_table(num_events: int) -> dict[int, tuple[int, HistorySet]]:
+    """Pinned class numbering: dense canonical form -> (id, exhibited rep)."""
     name = f"classes{num_events}.json"
     try:
         data = json.loads(
@@ -179,11 +195,8 @@ def _load_class_table(num_events: int) -> dict[HistorySet, tuple[int, HistorySet
         )
     except (FileNotFoundError, ModuleNotFoundError):
         return {}
-    table = perm_table(num_events)
-    return {
-        canonical_rep(e["representative"], table): (e["id"], e["representative"])
-        for e in data["classes"]
-    }
+    reps = [(e["id"], e["representative"]) for e in data["classes"]]
+    return {min(_dense_images(num_events, r)): (i, r) for i, r in reps}
 
 
 def classify_order_relation(
@@ -283,40 +296,35 @@ def _catalogue(classes: Iterable[HistorySet], num_events: int) -> Hierarchy:
     """
     table = perm_table(num_events)
 
-    # canonical form -> {space: join-closure} over the orbit in encounter
-    # order; ext commutes with the group, so the images of a closure are
-    # the closures of the images, in the same group order
-    orbits: dict[HistorySet, dict[HistorySet, HistorySet]] = {}
+    # dense canonical form -> {space: join-closure} over the orbit in
+    # encounter order; ext commutes with the group, so the images of a
+    # closure are the closures of the images, in the same group order
+    orbits: dict[int, dict[int, int]] = {}
     for rep in classes:
-        imgs = table.dense_images(iter_bitvec(rep))
-        canon = table.sparse(min(imgs))
-        if canon not in orbits:
-            ext_imgs = table.dense_images(iter_bitvec(ext_hset(rep)))
-            orbits[canon] = {
-                table.sparse(k): table.sparse(e)
-                for k, e in dict(zip(imgs, ext_imgs)).items()
-            }
+        imgs = _dense_images(num_events, rep)
+        if min(imgs) not in orbits:
+            ext_imgs = _dense_images(num_events, ext_hset(rep))
+            orbits[min(imgs)] = dict(zip(imgs, ext_imgs))
 
     class_table = _load_class_table(num_events)
     hierarchy = Hierarchy(num_events, {}, {}, {})
-    nodes = [  # (id, representative) from the table, else (-1, canonical form)
-        HierarchyNode(*class_table.get(canon, (-1, canon)), canon, len(orb), hierarchy)
-        for canon, orb in orbits.items()
-    ]
-    if all(canon in class_table for canon in orbits):
-        nodes.sort(key=lambda n: n.class_id)
-    else:
-        nodes.sort(
-            key=lambda n: (n.causaltope_dim, n.causal_function_count, n.canonical)
+    nodes = {  # (id, representative) from the table, else (-1, canonical form)
+        c: HierarchyNode(*class_table.get(c, (-1, s)), s, len(orbits[c]), hierarchy)
+        for c, s in ((c, table.sparse(c)) for c in orbits)
+    }
+    if not all(canon in class_table for canon in orbits):
+        ranked = sorted(
+            nodes.values(),
+            key=lambda n: (n.causaltope_dim, n.causal_function_count, n.canonical),
         )
-        for class_id, node in enumerate(nodes):
+        for class_id, node in enumerate(ranked):
             node.class_id = class_id
-    for node in nodes:
+    for canon, node in sorted(nodes.items(), key=lambda cn: cn[1].class_id):
         hierarchy.nodes[node.class_id] = node
-        for s, e in orbits[node.canonical].items():
-            hierarchy.class_of_space[s] = node.class_id
-            hierarchy.ext_of_space[s] = e
-    hierarchy.ext_of_space = dict(sorted(hierarchy.ext_of_space.items()))
+        for s, e in orbits[canon].items():
+            hierarchy.class_of_key[s] = node.class_id
+            hierarchy.ext_of_key[s] = e
+    hierarchy.ext_of_key = dict(sorted(hierarchy.ext_of_key.items()))
     return hierarchy
 
 
@@ -332,27 +340,29 @@ def _system_facts(node: HierarchyNode) -> None:
 
 def _analyse(node: HierarchyNode) -> None:
     """Sets the facts that relate one class to the rest of the hierarchy."""
-    exts, class_of_space = node.hierarchy.ext_of_space, node.hierarchy.class_of_space
-    rep = node.representative
+    # dense ints keep order: subset tests, sizes and AND/OR match history sets
+    hierarchy, rep = node.hierarchy, node.representative
+    exts, class_of = hierarchy.ext_of_key, hierarchy.class_of_key
+    sparse = perm_table(hierarchy.num_events).sparse
     sp = Space(rep)
-    rep_ext = exts[rep]
+    rep_ext = exts[_dense_images(hierarchy.num_events, rep)[0]]
     below = [s for s, e in exts.items() if e != rep_ext and is_subset(rep_ext, e)]
     above = [s for s, e in exts.items() if e != rep_ext and is_subset(e, rep_ext)]
     covered = _frontier(below, exts, reverse=False)
     covering = _frontier(above, exts, reverse=True)
 
-    node.closest_refinements = tuple(sorted({class_of_space[s] for s in covered}))
-    node.closest_coarsenings = tuple(sorted({class_of_space[s] for s in covering}))
+    node.closest_refinements = tuple(sorted({class_of[s] for s in covered}))
+    node.closest_coarsenings = tuple(sorted({class_of[s] for s in covering}))
     node.is_tight, node.identifications = tightness(sp)
     node.induced_by_order, node.closest_order_coarsenings = classify_order_relation(sp)
     node.novel_causal_function_count = novel_causal_functions(
-        sp, [Space(s) for s in covered]
+        sp, [Space(sparse(s)) for s in covered]
     )
     # the prime part of a union of closures is that of its join-closure
     node.is_join_of_refinements = bool(covered) and (
-        prime_hset(reduce(and_, (exts[s] for s in covered))) == rep
+        prime_hset(sparse(reduce(and_, (exts[s] for s in covered)))) == rep
     )
-    meet_ext = reduce(or_, (exts[s] for s in covering), 0)
+    meet_ext = sparse(reduce(or_, (exts[s] for s in covering), 0))
     node.is_meet_of_coarsenings = bool(covering) and prime_hset(meet_ext) == rep
     node.causaltope_dim_of_coarsening_meet = None
     if covering:
@@ -424,9 +434,11 @@ def _order_difference_records(node: HierarchyNode) -> list[dict]:
 def report(space_or_class: Space | int, hierarchy: Hierarchy) -> dict:
     """The report record for a class id or for any space in the hierarchy."""
     if isinstance(space_or_class, Space):
-        if space_or_class.histories not in hierarchy.class_of_space:
-            raise ValueError("Space is not part of the hierarchy.")
-        space_or_class = hierarchy.class_of_space[space_or_class.histories]
+        try:  # a history outside the table, or a space outside the catalogue
+            keys = _dense_images(hierarchy.num_events, space_or_class.histories)
+            space_or_class = hierarchy.class_of_key[keys[0]]
+        except KeyError:
+            raise ValueError("Space is not part of the hierarchy.") from None
     if space_or_class not in hierarchy.nodes:
         raise ValueError(f"Unknown class id {space_or_class}.")
     return node_record(hierarchy.nodes[space_or_class])

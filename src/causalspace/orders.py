@@ -359,8 +359,11 @@ def format_order(order: CausalOrder) -> str:
     chain of classes, else one ``total`` per covering pair of classes.
     Components come in the order of their last class's first event, and
     events related to no other event close the literal in one ``discrete``.
+    Raises ``ValueError`` for an order on no events, which has no literal.
     """
     events, below, n = order.events, order.below, len(order.events)
+    if not n:
+        raise ValueError("An order literal names at least one event.")
     above = [bitvec(j for j in range(n) if below[j] >> i & 1) for i in range(n)]
     related = [b | a for b, a in zip(below, above)]
     # the first event of each equivalence class below[i] & above[i]
@@ -403,6 +406,6 @@ def format_order(order: CausalOrder) -> str:
                 for a in iter_bitvec(below[b] & ~above[b] & firsts)
                 if not above[a] & ~below[a] & below[b] & ~above[b]
             )
-    if singles or not terms:
+    if singles:
         terms.append("discrete(" + names(singles) + ")")
     return "|".join(terms)

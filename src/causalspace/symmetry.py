@@ -137,9 +137,9 @@ class PermTable:
             v |= images[h]
         return self._unpack(v.to_bytes(self._num_bytes, "big"))
 
-    def sparse(self, key: bytes) -> HistorySet:
-        """The history set of a dense key from ``dense_images``."""
-        dense = int.from_bytes(key, "big")
+    def sparse(self, key: bytes | int) -> HistorySet:
+        """The history set of a dense key from ``dense_images``, or of its int."""
+        dense = key if isinstance(key, int) else int.from_bytes(key, "big")
         return bitvec(self._sparse[i] for i in iter_bitvec(dense))
 
 

@@ -19,7 +19,7 @@ from causalspace.spaces import (
     tip,
     total_assignments,
 )
-from causalspace.symmetry import perm_table, space_orbit
+from causalspace.symmetry import PermTable, perm_table, space_orbit
 
 
 def H(text):
@@ -315,6 +315,53 @@ def test_lazy_hierarchy_matches_eager(enumeration3, hierarchy3):
     for class_id in sorted(hierarchy3.nodes, key=lambda i: (i * 37) % 102):
         assert an.report(class_id, lazy) == an.report(class_id, hierarchy3)
     assert an.hierarchy_dot(lazy) == an.hierarchy_dot(hierarchy3)
+
+
+@pytest.mark.parametrize("num_events", [2, 3])
+def test_space_views_match_group_action_and_closures(request, num_events):
+    # recomputed from the group's history action and ext_hset of each space,
+    # none of which the catalogue's packed images use
+    hierarchy = request.getfixturevalue(f"hierarchy{num_events}")
+    table = perm_table(num_events)
+    class_of_space = {
+        table.permute_space(node.representative, g): class_id
+        for class_id, node in hierarchy.nodes.items()
+        for g in table.group
+    }
+    assert len(class_of_space) == {2: 7, 3: 2644}[num_events]
+    assert hierarchy.class_of_space == class_of_space
+    assert hierarchy.ext_of_space == {s: ext_hset(s) for s in class_of_space}
+    assert list(hierarchy.ext_of_space) == sorted(class_of_space)
+    # built once, on first read
+    assert hierarchy.class_of_space is hierarchy.class_of_space
+    assert hierarchy.ext_of_space is hierarchy.ext_of_space
+
+
+def _count_sparse_decodes(monkeypatch):
+    calls = []
+    sparse = PermTable.sparse
+
+    def counted(table, key):
+        calls.append(key)
+        return sparse(table, key)
+
+    monkeypatch.setattr(PermTable, "sparse", counted)
+    return calls
+
+
+def test_one_class_report_decodes_one_class(monkeypatch, enumeration3, hierarchy3):
+    # class 17's closest refinement spaces: the minimal closures above its own
+    exts = hierarchy3.ext_of_space
+    rep_ext = exts[hierarchy3.nodes[17].representative]
+    below = [e for e in exts.values() if e != rep_ext and is_subset(rep_ext, e)]
+    covered = [e for e in below if not any(f != e and is_subset(f, e) for f in below)]
+    calls = _count_sparse_decodes(monkeypatch)
+    lazy = an._catalogue(enumeration3[0], 3)
+    assert an.report(17, lazy) == an.report(17, hierarchy3)
+    # one canonical form per class; then class 17's closest refinement spaces
+    # for its novel functions, and one AND and one OR of closures. Decoding
+    # every orbit member and closure takes 5,492 more.
+    assert len(calls) <= 102 + len(covered) + 2
 
 
 @pytest.mark.parametrize("num_events", [2, 3])

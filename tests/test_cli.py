@@ -145,6 +145,19 @@ def test_classify_space_outside_hierarchy(capsys):
     assert capsys.readouterr().err == "classify: Space is not part of the hierarchy.\n"
 
 
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "[A/0;A/1;B/0;B/1;C/0;C/1;D/0;D/1]",  # histories beyond 3 events
+        "[A/0;B/0;C/0]",  # not causally complete
+        "[A/0;A/1;B/0;B/1]",  # complete on 2 events only
+    ],
+)
+def test_classify_space_not_in_three_event_hierarchy(capsys, literal):
+    assert main(["classify", "--events", "3", "--space", literal]) == 2
+    assert capsys.readouterr().err == "classify: Space is not part of the hierarchy.\n"
+
+
 def test_classify_rejects_unclosed_space_literal(capsys):
     argv = ["classify", "--events", "2", "--space", "[A/0; A/1; B/0; B/1"]
     assert main(argv) == 2

@@ -204,6 +204,15 @@ def test_every_order_roundtrips(n):
         assert ords.parse_order(ords.format_order(order)) == order
 
 
+def test_order_on_no_events_has_no_literal():
+    # every literal names an event, so neither direction accepts the empty order
+    (empty,) = ords.all_orders(0)
+    with pytest.raises(ValueError, match="at least one event"):
+        ords.format_order(empty)
+    with pytest.raises(ValueError):
+        ords.parse_order("discrete()")
+
+
 def test_catalogue_orders_parse(catalogue3):
     texts = {
         text
