@@ -341,3 +341,37 @@ def test_outputs_are_deterministic(capsys):
     main(["hierarchy", "--events", "2", "--format", "json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# sha256 of the stdout of ``hierarchy --events n --format fmt``; the 3-event
+# exports are pinned in test_analysis.py
+HIERARCHY_DIGESTS = {
+    (1, "dot"): "0c44beeefea1a3d1bbf2cb72fbbf9e743c33578f6a01ea3899cef3930ad55540",
+    (1, "json"): "27581d817253a9a8a59fe1d2aaeda9e0a3b28de5a71d237243a9f266079b9781",
+    (2, "dot"): "64593a58f436cb2712aeb80c9965bb3302a2a5e7e51eab201b9cab1a5a7abc3c",
+    (2, "json"): "9d0c43d0be4ae627c1860643908dc6cf2315b0777cc808633b3237727d822e3f",
+}
+
+# sha256 of the stdout of ``classify --events 2 --class-id c``
+CLASSIFY2_DIGESTS = {
+    0: "c73968c1c88ab353005373c736824094f77c0370c733f12c128f0afbb0843043",
+    1: "81b2299c38c35fac378466423a0bae2f8d1dbd5fe93e8699965fbe0ae0f661dd",
+    2: "97947676da3a5c84858f8dc405f2fc577a5a2869ec41480043e196b003f39735",
+}
+
+
+def _stdout_digest(capsys, argv):
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n,fmt", sorted(HIERARCHY_DIGESTS))
+def test_small_hierarchy_exports_pinned(capsys, n, fmt):
+    argv = ["hierarchy", "--events", str(n), "--format", fmt]
+    assert _stdout_digest(capsys, argv) == HIERARCHY_DIGESTS[n, fmt]
+
+
+@pytest.mark.parametrize("class_id", sorted(CLASSIFY2_DIGESTS))
+def test_two_event_class_records_pinned(capsys, class_id):
+    argv = ["classify", "--events", "2", "--class-id", str(class_id)]
+    assert _stdout_digest(capsys, argv) == CLASSIFY2_DIGESTS[class_id]
