@@ -186,17 +186,16 @@ def _dense_images(num_events: int, s: HistorySet) -> list[int]:
     return [int.from_bytes(k, "big") for k in keys]
 
 
-def _load_class_table(num_events: int) -> dict[int, tuple[int, HistorySet]]:
-    """Pinned class numbering: dense canonical form -> (id, exhibited rep)."""
+def _load_class_table(num_events: int) -> dict[int, HistorySet]:
+    """The shipped class numbering: class id -> exhibited representative."""
     name = f"classes{num_events}.json"
     try:
         data = json.loads(
             resources.files("causalspace").joinpath("data").joinpath(name).read_text()
         )
-    except (FileNotFoundError, ModuleNotFoundError):
-        return {}
-    reps = [(e["id"], e["representative"]) for e in data["classes"]]
-    return {min(_dense_images(num_events, r)): (i, r) for i, r in reps}
+    except FileNotFoundError:
+        raise ValueError(f"No class table ships for {num_events} events.") from None
+    return {e["id"]: e["representative"] for e in data["classes"]}
 
 
 def classify_order_relation(
@@ -276,10 +275,10 @@ def diff_from_order(space: Space, order: CausalOrder) -> tuple[OrderDifference, 
 def build_hierarchy(classes: Iterable[HistorySet], num_events: int) -> Hierarchy:
     """Computes the condensed hierarchy for enumerated class representatives.
 
-    Classes are numbered by the pinned catalogue table when one is shipped
-    for the event count; otherwise by ascending (causaltope dimension,
-    causal-function count, canonical representative). Every class's facts
-    are read, through ``_catalogue``'s first-read path, before this returns.
+    Class ids and representatives always come from the shipped class table
+    of the event count. With no table for it, or a class missing from it,
+    this raises ``ValueError`` before any analysis. Every class's facts are
+    read, through ``_catalogue``'s first-read path, before this returns.
     """
     hierarchy = _catalogue(classes, num_events)
     for node in hierarchy.nodes.values():
@@ -294,6 +293,7 @@ def _catalogue(classes: Iterable[HistorySet], num_events: int) -> Hierarchy:
     Each class's facts are computed on first read, from its own equations
     and the join-closures of its neighbours only.
     """
+    class_reps = _load_class_table(num_events)
     table = perm_table(num_events)
 
     # dense canonical form -> {space: join-closure} over the orbit in
@@ -306,19 +306,19 @@ def _catalogue(classes: Iterable[HistorySet], num_events: int) -> Hierarchy:
             ext_imgs = _dense_images(num_events, ext_hset(rep))
             orbits[min(imgs)] = dict(zip(imgs, ext_imgs))
 
-    class_table = _load_class_table(num_events)
-    hierarchy = Hierarchy(num_events, {}, {}, {})
-    nodes = {  # (id, representative) from the table, else (-1, canonical form)
-        c: HierarchyNode(*class_table.get(c, (-1, s)), s, len(orbits[c]), hierarchy)
-        for c, s in ((c, table.sparse(c)) for c in orbits)
+    class_table = {  # dense canonical form -> (id, representative)
+        min(_dense_images(num_events, r)): (i, r) for i, r in class_reps.items()
     }
-    if not all(canon in class_table for canon in orbits):
-        ranked = sorted(
-            nodes.values(),
-            key=lambda n: (n.causaltope_dim, n.causal_function_count, n.canonical),
+    missing = [table.sparse(c) for c in orbits if c not in class_table]
+    if missing:
+        raise ValueError(
+            f"No class in the {num_events}-event table has canonical form {missing[0]}."
         )
-        for class_id, node in enumerate(ranked):
-            node.class_id = class_id
+    hierarchy = Hierarchy(num_events, {}, {}, {})
+    nodes = {
+        c: HierarchyNode(*class_table[c], table.sparse(c), len(orbits[c]), hierarchy)
+        for c in orbits
+    }
     for canon, node in sorted(nodes.items(), key=lambda cn: cn[1].class_id):
         hierarchy.nodes[node.class_id] = node
         for s, e in orbits[canon].items():

@@ -11,6 +11,9 @@ Subcommands:
 * ``causaltope``: CSV or PGM dump of a space's equation system.
 * ``orders``: DOT or JSON export of the hierarchy of causal orders.
 
+Class ids and representatives always come from the class table shipped for
+1-3 events in ``causalspace/data``; only ``enumerate`` and ``resume`` search.
+
 Space literals are either a decimal history-set bitvector or a bracketed
 list like ``[A/0; A/1; B/0,C/1]``. Orders are printed in the literal syntax
 of ``causalspace.orders`` (for example ``total(A,B)|discrete(C)``). The
@@ -34,7 +37,6 @@ from .enumerator import (
     MAX_SEARCH_EVENTS,
     CorruptStateError,
     SpaceFinder,
-    enumerate_classes,
     write_hsets,
 )
 from .spaces import Space
@@ -75,15 +77,19 @@ def _emit(data: bytes | str, output: Optional[str]) -> None:
         Path(output).write_bytes(data)
 
 
-def _build_hierarchy(num_events: int) -> analysis.Hierarchy:
+def _class_table(num_events: int) -> dict[int, HistorySet]:
+    """Class id -> representative, from the shipped class table."""
     if not 1 <= num_events <= MAX_COMPLETE_SEARCH_EVENTS:
         raise ValueError(
             f"--events must be 1-{MAX_COMPLETE_SEARCH_EVENTS}:"
             " this needs a complete search, which does not finish beyond"
             f" {MAX_COMPLETE_SEARCH_EVENTS} events."
         )
-    classes, _ = enumerate_classes(num_events)
-    return analysis._catalogue(classes, num_events)
+    return analysis._load_class_table(num_events)
+
+
+def _build_hierarchy(num_events: int) -> analysis.Hierarchy:
+    return analysis._catalogue(_class_table(num_events).values(), num_events)
 
 
 def _write_classes(classes: tuple[HistorySet, ...], args: argparse.Namespace) -> None:
@@ -157,21 +163,20 @@ def cmd_resume(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_space(
-    args: argparse.Namespace, hierarchy: Optional[analysis.Hierarchy]
-) -> Space:
-    """The space named by ``--class-id`` in ``hierarchy`` or by ``--space``."""
+def _resolve_space(args: argparse.Namespace) -> Space:
+    """The space named by ``--class-id`` in the class table or by ``--space``."""
     if args.class_id is not None:
-        if args.class_id not in hierarchy.nodes:
+        reps = _class_table(args.events)
+        if args.class_id not in reps:
             raise ValueError(f"Unknown class id {args.class_id}.")
-        return Space(hierarchy.nodes[args.class_id].representative)
+        return Space(reps[args.class_id])
     return Space.parse(args.space)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     try:
         hierarchy = _build_hierarchy(args.events)
-        record = analysis.report(_resolve_space(args, hierarchy), hierarchy)
+        record = analysis.report(_resolve_space(args), hierarchy)
     except ValueError as exc:
         print(f"classify: {exc}", file=sys.stderr)
         return 2
@@ -218,8 +223,7 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
 
 def cmd_causaltope(args: argparse.Namespace) -> int:
     try:
-        hierarchy = None if args.class_id is None else _build_hierarchy(args.events)
-        space = _resolve_space(args, hierarchy)
+        space = _resolve_space(args)
         if space.event_count != args.events:
             raise ValueError(
                 f"the space has {space.event_count} events, not --events {args.events}."

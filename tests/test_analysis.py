@@ -11,6 +11,7 @@ from causalspace.encoding import (
     hset_members,
     is_subset,
 )
+from causalspace.enumerator import enumerate_classes
 from causalspace.orders import format_order, hist_space, parse_order
 from causalspace.spaces import (
     Space,
@@ -386,3 +387,53 @@ def test_coarsening_meet_dimension_matches_stacked_systems(request, num_events):
         assert node.causaltope_dim_of_coarsening_meet == num_columns - rank - 1, class_id
         stacked += 1
     assert stacked == len(hierarchy.nodes) - len(hierarchy.maxima)
+
+
+def _orbit(table, s):
+    # from the group's action tables, not the catalogue's packed images
+    return frozenset(table.permute_space(s, g) for g in table.group)
+
+
+@pytest.mark.parametrize("num_events, num_spaces", [(1, 1), (2, 7), (3, 2644)])
+def test_class_table_matches_search(num_events, num_spaces):
+    # the search is the oracle for the shipped numbering that the CLI trusts
+    reps = an._load_class_table(num_events)
+    assert list(reps) == list(range(len(reps)))
+    table = perm_table(num_events)
+    orbits = {i: _orbit(table, r) for i, r in reps.items()}
+    assert len(set(orbits.values())) == len(reps)
+    searched, _ = enumerate_classes(num_events)
+    assert set(orbits.values()) == {_orbit(table, r) for r in searched}
+    assert sum(len(o) for o in orbits.values()) == num_spaces
+    if num_events <= 2:
+        # the ranking that numbered these tables: causaltope dimension, causal
+        # function count, canonical form; each representative is its canonical form
+        def rank(i):
+            sp = Space(reps[i])
+            return ct.causaltope_dim(sp), an.count_causal_functions(sp), min(orbits[i])
+
+        assert sorted(reps, key=rank) == list(reps)
+        assert all(r == min(orbits[i]) for i, r in reps.items())
+
+
+def test_catalogue_rejects_history_set_outside_class_table(enumeration2):
+    # not causally complete, so no class of the table holds it
+    partial = Space.parse("[A/0; B/0]").histories
+    canonical = min(_orbit(perm_table(2), partial))
+    with pytest.raises(ValueError) as exc:
+        an._catalogue([*enumeration2[0], partial], 2)
+    assert str(exc.value) == (
+        f"No class in the 2-event table has canonical form {canonical}."
+    )
+
+
+def test_hierarchy_without_class_table_raises_before_analysis(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the catalogue was started")
+
+    for module, name in ((ct, "build_equations"), (an, "ext_hset"), (an, "perm_table")):
+        monkeypatch.setattr(module, name, unreachable)
+    discrete4 = Space.parse("[A/0; A/1; B/0; B/1; C/0; C/1; D/0; D/1]").histories
+    with pytest.raises(ValueError) as exc:
+        an.build_hierarchy([discrete4], 4)
+    assert str(exc.value) == "No class table ships for 4 events."

@@ -4,9 +4,11 @@ import os
 
 import pytest
 
-from causalspace import causaltope, cli
+from causalspace import analysis, causaltope, cli
 from causalspace.cli import main
 from causalspace.enumerator import SpaceFinder, read_hsets
+from causalspace.spaces import Space
+from causalspace.symmetry import perm_table
 
 
 @pytest.fixture(autouse=True)
@@ -375,3 +377,50 @@ def test_small_hierarchy_exports_pinned(capsys, n, fmt):
 def test_two_event_class_records_pinned(capsys, class_id):
     argv = ["classify", "--events", "2", "--class-id", str(class_id)]
     assert _stdout_digest(capsys, argv) == CLASSIFY2_DIGESTS[class_id]
+
+
+@pytest.mark.parametrize("n, class_ids", [(2, (0, 1, 2)), (3, (0, 17, 101))])
+def test_queries_read_class_table_without_search(
+    request, capsys, monkeypatch, n, class_ids
+):
+    # the expected outputs come from a hierarchy that the search built, before
+    # any way into the search is made to raise; its exports are pinned
+    hierarchy = request.getfixturevalue(f"hierarchy{n}")
+    table = perm_table(n)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search was started")
+
+    monkeypatch.setattr(cli, "SpaceFinder", no_search)
+    for name in ("find_eq_classes", "iter_find_eq_classes"):
+        monkeypatch.setattr(SpaceFinder, name, no_search)
+
+    def stdout(*argv):
+        assert main([argv[0], "--events", str(n), *argv[1:]]) == 0
+        return capsys.readouterr().out
+
+    def dump(class_id, fmt):
+        space = Space(hierarchy.nodes[class_id].representative)
+        return causaltope.dump_system(causaltope.build_equations(space), fmt).decode()
+
+    for c in class_ids:
+        rep = hierarchy.nodes[c].representative
+        record = json.dumps(analysis.report(c, hierarchy), indent=2, sort_keys=True)
+        member = max(table.permute_space(rep, g) for g in table.group)
+        assert stdout("classify", "--class-id", str(c)) == record + "\n"
+        assert stdout("classify", "--space", str(member)) == record + "\n"
+        assert stdout("causaltope", "--class-id", str(c)) == dump(c, "csv")
+    assert stdout("hierarchy", "--format", "json") == analysis.hierarchy_json(hierarchy) + "\n"
+    assert stdout("hierarchy", "--format", "dot") == analysis.hierarchy_dot(hierarchy)
+
+    # causaltope --class-id reads one representative and builds no catalogue
+    monkeypatch.setattr(analysis, "_catalogue", no_search)
+    for c in class_ids:
+        assert stdout("causaltope", "--class-id", str(c), "--format", "pgm") == dump(c, "pgm")
+
+
+@pytest.mark.parametrize("command", ["classify", "causaltope"])
+@pytest.mark.parametrize("events", ["0", "5"])
+def test_class_id_rejects_events_without_class_table(capsys, command, events):
+    assert main([command, "--events", events, "--class-id", "0"]) == 2
+    assert capsys.readouterr().err.startswith(f"{command}: --events must be 1-3:")
