@@ -293,7 +293,10 @@ def _catalogue(classes: Iterable[HistorySet], num_events: int) -> Hierarchy:
     Each class's facts are computed on first read, from its own equations
     and the join-closures of its neighbours only.
     """
-    class_reps = _load_class_table(num_events)
+    class_table = {  # dense canonical form -> (id, representative)
+        min(_dense_images(num_events, r)): (i, r)
+        for i, r in _load_class_table(num_events).items()
+    }
     table = perm_table(num_events)
 
     # dense canonical form -> {space: join-closure} over the orbit in
@@ -306,9 +309,6 @@ def _catalogue(classes: Iterable[HistorySet], num_events: int) -> Hierarchy:
             ext_imgs = _dense_images(num_events, ext_hset(rep))
             orbits[min(imgs)] = dict(zip(imgs, ext_imgs))
 
-    class_table = {  # dense canonical form -> (id, representative)
-        min(_dense_images(num_events, r)): (i, r) for i, r in class_reps.items()
-    }
     missing = [table.sparse(c) for c in orbits if c not in class_table]
     if missing:
         raise ValueError(

@@ -417,10 +417,3 @@ def test_queries_read_class_table_without_search(
     monkeypatch.setattr(analysis, "_catalogue", no_search)
     for c in class_ids:
         assert stdout("causaltope", "--class-id", str(c), "--format", "pgm") == dump(c, "pgm")
-
-
-@pytest.mark.parametrize("command", ["classify", "causaltope"])
-@pytest.mark.parametrize("events", ["0", "5"])
-def test_class_id_rejects_events_without_class_table(capsys, command, events):
-    assert main([command, "--events", events, "--class-id", "0"]) == 2
-    assert capsys.readouterr().err.startswith(f"{command}: --events must be 1-3:")
