@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from importlib import resources
 from operator import and_, or_
 from typing import Iterable, Optional
 
@@ -44,6 +43,7 @@ from .spaces import (
     Space,
     _determination,
     _frontier,
+    _load_class_table,
     determination_classes,
     ext,
     ext_hset,
@@ -186,18 +186,6 @@ def _dense_images(num_events: int, s: HistorySet) -> list[int]:
     return [int.from_bytes(k, "big") for k in keys]
 
 
-def _load_class_table(num_events: int) -> dict[int, HistorySet]:
-    """The shipped class numbering: class id -> exhibited representative."""
-    name = f"classes{num_events}.json"
-    try:
-        data = json.loads(
-            resources.files("causalspace").joinpath("data").joinpath(name).read_text()
-        )
-    except FileNotFoundError:
-        raise ValueError(f"No class table ships for {num_events} events.") from None
-    return {e["id"]: e["representative"] for e in data["classes"]}
-
-
 def classify_order_relation(
     space: Space,
 ) -> tuple[Optional[CausalOrder], tuple[CausalOrder, ...]]:
@@ -290,13 +278,12 @@ def build_hierarchy(classes: Iterable[HistorySet], num_events: int) -> Hierarchy
 def _catalogue(classes: Iterable[HistorySet], num_events: int) -> Hierarchy:
     """The hierarchy's catalogue: ids, orbits and join-closures.
 
-    Each class's facts are computed on first read, from its own equations
-    and the join-closures of its neighbours only.
+    Each class's facts are computed on first read, from its own join-closure
+    and those of its neighbours only.
     """
-    class_table = {  # dense canonical form -> (id, representative)
-        min(_dense_images(num_events, r)): (i, r)
-        for i, r in _load_class_table(num_events).items()
-    }
+    reps = _load_class_table(num_events)
+    images = {r: _dense_images(num_events, r) for r in reps.values()}
+    class_table = {min(images[r]): (i, r) for i, r in reps.items()}  # canonical form
     table = perm_table(num_events)
 
     # dense canonical form -> {space: join-closure} over the orbit in
@@ -304,7 +291,7 @@ def _catalogue(classes: Iterable[HistorySet], num_events: int) -> Hierarchy:
     # closure are the closures of the images, in the same group order
     orbits: dict[int, dict[int, int]] = {}
     for rep in classes:
-        imgs = _dense_images(num_events, rep)
+        imgs = images.get(rep) or _dense_images(num_events, rep)
         if min(imgs) not in orbits:
             ext_imgs = _dense_images(num_events, ext_hset(rep))
             orbits[min(imgs)] = dict(zip(imgs, ext_imgs))
@@ -331,10 +318,9 @@ def _catalogue(classes: Iterable[HistorySet], num_events: int) -> Hierarchy:
 def _system_facts(node: HierarchyNode) -> None:
     """Sets the equation counts, rank, dimension and causal-function count."""
     sp = Space(node.representative)
-    system = ct.build_equations(sp)
-    node.num_equations = system.num_rows
-    node.num_independent_equations = ct.rank(system)
-    node.causaltope_dim = system.num_columns - node.num_independent_equations - 1
+    node.num_equations = ct.num_equations(ext(sp), sp.events)
+    rank = node.num_independent_equations = ct.rank(ext(sp), sp.events)
+    node.causaltope_dim = (1 << (2 * sp.event_count)) - rank - 1
     node.causal_function_count = count_causal_functions(sp)
 
 
@@ -368,8 +354,9 @@ def _analyse(node: HierarchyNode) -> None:
     if covering:
         # a row depends only on its history, so the stacked systems of the
         # coarsening spaces have the rows of the union of their closures
-        meet = ct._system(meet_ext, tuple(sorted(sp.events)))
-        node.causaltope_dim_of_coarsening_meet = meet.num_columns - ct.rank(meet) - 1
+        node.causaltope_dim_of_coarsening_meet = (
+            (1 << (2 * hierarchy.num_events)) - ct.rank(meet_ext, sp.events) - 1
+        )
 
 
 # -- report records ---------------------------------------------------------

@@ -14,23 +14,35 @@ inputs). The rows of ``h`` depend on ``h`` alone, so a system is a function
 of the join-closure. The empty history's rows are the quasi-normalisation
 rows: the total mass must agree across all joint inputs.
 
-The affine polytope of models additionally fixes the total mass to one,
-which is why its dimension is ``2**(2n) - rank - 1``.
+The rank is counted, not eliminated. In the output character basis
+``chi_S(o) = (-1)**(sum of o_e over e in S)``, the indicators of the output
+assignments on a domain ``D`` span exactly the ``chi_S`` with ``S`` inside
+``D``, so the row space splits into one block per event subset ``S``.
+Block ``S`` is spanned by ``e_a - e_b`` for the joint inputs ``a`` and ``b``
+extending a common history of the system whose domain holds ``S``; its rank
+is ``2**n - c_S``, where ``c_S`` counts the classes of inputs linked so.
+
+The affine polytope of models additionally fixes the total mass to one, so
+its dimension is ``2**(2n) - rank - 1 = sum over nonempty S of c_S``, since
+the empty history links all inputs (``c_S = 1`` for the empty ``S``). The
+discrete space gives ``3**n - 1``, the no-signalling dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterable, Sequence
+from typing import Collection
 
 from .encoding import (
     Event,
     HistorySet,
+    bitvec,
     domsize,
+    event_to_idx,
     history_items,
     hset_members,
     is_subset,
+    iter_bitvec,
     total_assignments,
 )
 from .spaces import Space, ext, is_causally_complete
@@ -55,25 +67,16 @@ class LinearSystem:
 def build_equations(space: Space) -> LinearSystem:
     """The causality and quasi-normalisation system for a space.
 
-    Requires a causally complete space (which implies free choice).
+    The rows of the non-maximal members of the join-closure, then of the
+    empty history. Requires a causally complete space (so free choice).
     """
     if not is_causally_complete(space):
         raise ValueError("Space must be causally complete.")
-    return _system(ext(space), tuple(sorted(space.events)))
-
-
-def _system(hset: HistorySet, evs: tuple[Event, ...]) -> LinearSystem:
-    """The rows of the non-maximal members of ``hset``, then of the empty history.
-
-    ``hset`` is a join-closure on the sorted events ``evs``, or a union of
-    such closures. A history's rows depend on nothing else: one per output
-    assignment on its domain and per consecutive pair of total inputs
-    extending it.
-    """
+    evs = tuple(sorted(space.events))
     n = len(evs)
     inputs = total_assignments(evs)
     rows: list[tuple[int, ...]] = []
-    for h in [h for h in hset_members(hset) if domsize(h) < n] + [0]:
+    for h in [h for h in hset_members(ext(space)) if domsize(h) < n] + [0]:
         dmask = sum(1 << (n - 1 - evs.index(e)) for e, _ in history_items(h))
         agreeing: dict[int, list[int]] = {}  # outputs by their domain part
         for o in range(1 << n):
@@ -89,56 +92,59 @@ def _system(hset: HistorySet, evs: tuple[Event, ...]) -> LinearSystem:
     return LinearSystem(tuple(rows), n)
 
 
-def rank_of_rows(rows: Iterable[Sequence[int]], num_columns: int) -> int:
-    """Exact rank over the rationals, by integer Gaussian elimination.
+def num_equations(hset: HistorySet, events: Collection[Event]) -> int:
+    """Row count of the system of a join-closure, or of a union of closures.
 
-    Pivots on the first nonzero entry per column; updated rows are rescaled
-    by their gcd so entries stay small. No floating point is involved.
+    A history on ``d`` of the ``n`` events has ``2**d`` output assignments
+    on its domain and ``2**(n - d)`` extending inputs: ``2**n - 2**d`` rows,
+    none for a maximal one. The empty history adds ``2**n - 1``.
     """
-    matrix = [list(r) for r in dict.fromkeys(tuple(r) for r in rows) if any(r)]
-    rank = 0
-    for col in range(num_columns):
-        piv = None
-        for i in range(rank, len(matrix)):
-            if matrix[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        matrix[rank], matrix[piv] = matrix[piv], matrix[rank]
-        prow = matrix[rank]
-        pval = prow[col]
-        for i in range(rank + 1, len(matrix)):
-            row = matrix[i]
-            v = row[col]
-            if not v:
-                continue
-            g = 0
-            for j in range(col, num_columns):
-                row[j] = row[j] * pval - prow[j] * v
-                g = gcd(g, row[j])
-            if g > 1:
-                for j in range(col, num_columns):
-                    row[j] //= g
-        rank += 1
-        if rank == len(matrix):
-            break
-    return rank
+    n = len(events)
+    return sum((1 << n) - (1 << domsize(h)) for h in [*iter_bitvec(hset), 0])
 
 
-def rank(system: LinearSystem) -> int:
-    """Exact rank of a system over the rationals."""
-    return rank_of_rows(system.rows, system.num_columns)
+def rank(hset: HistorySet, events: Collection[Event]) -> int:
+    """Exact rank of the system of a join-closure, or of a union of closures.
+
+    Per event subset ``S``, the joint inputs that extend a common history
+    whose domain holds ``S`` are linked, and each class of ``k`` linked
+    inputs adds ``k - 1`` (see the module docstring).
+    """
+    evs = tuple(sorted(events))
+    n = len(evs)
+    bit_of = {event_to_idx(e): 1 << (n - 1 - p) for p, e in enumerate(evs)}
+    links = []  # (domain mask, mask of the joint inputs extending h)
+    for h in [h for h in [*iter_bitvec(hset), 0] if domsize(h) < n]:
+        dmask = value = 0
+        for item in iter_bitvec(h):
+            dmask |= bit_of[item >> 1]
+            value |= bit_of[item >> 1] * (item & 1)
+        links.append((dmask, bitvec(i for i in range(1 << n) if i & dmask == value)))
+    total = 0
+    for s in range(1 << n):
+        classes: list[int] = []
+        for dmask, linked in links:
+            if dmask & s == s:
+                disjoint = []
+                for c in classes:
+                    if c & linked:
+                        linked |= c
+                    else:
+                        disjoint.append(c)
+                classes = disjoint + [linked]
+        total += sum(c.bit_count() - 1 for c in classes)
+    return total
 
 
 def causaltope_dim(space: Space) -> int:
     """Dimension of the polytope of models compatible with a space.
 
     ``2**(2n) - rank - 1``: the homogeneous system plus the affine
-    normalisation slice.
+    normalisation slice. Requires a causally complete space.
     """
-    system = build_equations(space)
-    return system.num_columns - rank(system) - 1
+    if not is_causally_complete(space):
+        raise ValueError("Space must be causally complete.")
+    return (1 << (2 * space.event_count)) - rank(ext(space), space.events) - 1
 
 
 def _header(num_events: int) -> list[str]:

@@ -32,14 +32,8 @@ from typing import Optional
 
 from . import analysis, causaltope, orders
 from .encoding import HistorySet
-from .enumerator import (
-    MAX_COMPLETE_SEARCH_EVENTS,
-    MAX_SEARCH_EVENTS,
-    CorruptStateError,
-    SpaceFinder,
-    write_hsets,
-)
-from .spaces import Space
+from .enumerator import MAX_SEARCH_EVENTS, CorruptStateError, SpaceFinder, write_hsets
+from .spaces import MAX_COMPLETE_SEARCH_EVENTS, Space, _load_class_table
 
 STATE_DIR_ENV = "CAUSALSPACE_STATE_DIR"
 
@@ -85,7 +79,7 @@ def _class_table(num_events: int) -> dict[int, HistorySet]:
             " this needs a complete search, which does not finish beyond"
             f" {MAX_COMPLETE_SEARCH_EVENTS} events."
         )
-    return analysis._load_class_table(num_events)
+    return _load_class_table(num_events)
 
 
 def _build_hierarchy(num_events: int) -> analysis.Hierarchy:
@@ -223,15 +217,15 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
 
 def cmd_causaltope(args: argparse.Namespace) -> int:
     try:
+        if args.space is not None and not 1 <= args.events <= _MAX_DUMP_EVENTS:
+            raise ValueError(
+                f"--events must be 1-{_MAX_DUMP_EVENTS}: equation systems are not"
+                f" dumped for {args.events} events."
+            )
         space = _resolve_space(args)
         if space.event_count != args.events:
             raise ValueError(
                 f"the space has {space.event_count} events, not --events {args.events}."
-            )
-        if space.event_count > _MAX_DUMP_EVENTS:
-            raise ValueError(
-                f"the space has {space.event_count} events; equation systems are"
-                f" dumped for at most {_MAX_DUMP_EVENTS}."
             )
         system = causaltope.build_equations(space)
         data = causaltope.dump_system(system, args.format)

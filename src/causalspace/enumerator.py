@@ -66,9 +66,6 @@ from .symmetry import PermGroupEl, PermTable, perm_table, space_orbit
 MAX_SEARCH_EVENTS = 4
 # precomputed permutation tables grow as n! * 2**n * 3**n; the search itself
 # is only tractable up to 4 events
-MAX_COMPLETE_SEARCH_EVENTS = 3
-# a search run to completion is desk-scale up to 3 events; at 4 it has
-# 315981136 top-level subsets and runs only as a checkpointed search
 
 
 class CorruptStateError(Exception):

@@ -9,9 +9,11 @@ refinement lattice, and the composition operators.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import resources
 
 from .encoding import (
     _EVENT_BITS,
@@ -32,8 +34,11 @@ from .encoding import (
     parse_hset,
     total_assignments,
 )
-from .enumerator import MAX_COMPLETE_SEARCH_EVENTS, enumerate_classes
 from .symmetry import perm_table, space_orbit
+
+MAX_COMPLETE_SEARCH_EVENTS = 3
+# class tables ship for 1-3 events; a complete search at 4 has 315981136
+# top-level subsets and runs only as a checkpointed search
 
 
 @dataclass(frozen=True)
@@ -336,9 +341,9 @@ def _switch_spaces(evs: tuple[Event, ...]) -> tuple[Space, ...]:
 def causal_completions(space: Space) -> tuple[Space, ...]:
     """The closest causally complete refinements of a space.
 
-    Computed by filtering the full enumeration of causally complete spaces
-    on the space's events and keeping the maxima; a causally complete space
-    is its own unique completion. Raises :class:`ValueError` for any other
+    Computed by filtering the orbits of the shipped class table on the
+    space's events and keeping the maxima; a causally complete space is
+    its own unique completion. Raises :class:`ValueError` for any other
     space on more events than a complete search can cover.
     """
     if is_causally_complete(space):
@@ -397,5 +402,16 @@ def relabel_space(space: Space, mapping: Mapping[Event, Event]) -> Space:
 def _all_complete_hsets(num_events: int) -> tuple[HistorySet, ...]:
     """Every causally complete space on the first ``n`` events."""
     table = perm_table(num_events)
-    reps, _ = enumerate_classes(num_events)
-    return tuple(dict.fromkeys(s for rep in reps for s in space_orbit(rep, table)))
+    reps = _load_class_table(num_events).values()
+    return tuple(dict.fromkeys(s for r in reps for s in space_orbit(r, table)))
+
+
+@lru_cache(maxsize=None)
+def _load_class_table(num_events: int) -> dict[int, HistorySet]:
+    """The shipped class numbering, read once and shared: id -> representative."""
+    path = resources.files("causalspace") / "data" / f"classes{num_events}.json"
+    try:
+        data = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise ValueError(f"No class table ships for {num_events} events.") from None
+    return {e["id"]: e["representative"] for e in data["classes"]}

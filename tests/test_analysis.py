@@ -21,6 +21,7 @@ from causalspace.spaces import (
     total_assignments,
 )
 from causalspace.symmetry import PermTable, perm_table, space_orbit
+from elimination import rank_of_rows
 
 
 def H(text):
@@ -365,6 +366,24 @@ def test_one_class_report_decodes_one_class(monkeypatch, enumeration3, hierarchy
     assert len(calls) <= 102 + len(covered) + 2
 
 
+def test_catalogue_images_each_table_representative_once(monkeypatch):
+    calls = []
+    images = an._dense_images
+
+    def counted(num_events, s):
+        calls.append(s)
+        return images(num_events, s)
+
+    monkeypatch.setattr(an, "_dense_images", counted)
+    reps = an._load_class_table(3)
+    assert an._load_class_table(3) is reps  # the table is read once per process
+    an._catalogue(reps.values(), 3)
+    # each table representative and each of their closures, once
+    closures = [ext_hset(r) for r in reps.values()]
+    assert sorted(calls) == sorted([*reps.values(), *closures])
+    assert len(calls) == 204
+
+
 @pytest.mark.parametrize("num_events", [2, 3])
 def test_coarsening_meet_dimension_matches_stacked_systems(request, num_events):
     # the reference definition: stack the systems of a class's closest
@@ -383,7 +402,7 @@ def test_coarsening_meet_dimension_matches_stacked_systems(request, num_events):
             assert node.causaltope_dim_of_coarsening_meet is None, class_id
             continue
         rows = [row for s in covering for row in ct.build_equations(Space(s)).rows]
-        rank = ct.rank_of_rows(rows, num_columns)
+        rank = rank_of_rows(rows, num_columns)
         assert node.causaltope_dim_of_coarsening_meet == num_columns - rank - 1, class_id
         stacked += 1
     assert stacked == len(hierarchy.nodes) - len(hierarchy.maxima)

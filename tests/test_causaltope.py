@@ -1,6 +1,6 @@
 import random
 from hashlib import sha256
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 import sympy
@@ -14,8 +14,10 @@ from causalspace.encoding import (
     is_subset,
     total_assignments,
 )
+from causalspace.enumerator import SpaceFinder
 from causalspace.orders import all_orders, hist_space, is_definite, parse_order
 from causalspace.spaces import Space, ext
+from elimination import rank_of_rows
 
 
 def order_space(text):
@@ -36,7 +38,9 @@ def test_order_space_systems(text, rows, indep, dim):
     space = order_space(text)
     system = ct.build_equations(space)
     assert system.num_rows == rows
-    assert ct.rank(system) == indep
+    assert ct.num_equations(ext(space), space.events) == rows
+    assert rank_of_rows(system.rows, system.num_columns) == indep
+    assert ct.rank(ext(space), space.events) == indep
     assert ct.causaltope_dim(space) == dim
 
 
@@ -75,10 +79,8 @@ def test_single_event_space_dim():
 
 
 def test_rank_of_zero_system():
-    empty = ct.LinearSystem((), 2)
-    assert ct.rank(empty) == 0
-    zero_rows = ct.LinearSystem(((0,) * 16, (0,) * 16), 2)
-    assert ct.rank(zero_rows) == 0
+    assert rank_of_rows((), 16) == 0
+    assert rank_of_rows(((0,) * 16, (0,) * 16), 16) == 0
 
 
 def test_rows_are_marginal_differences():
@@ -90,9 +92,11 @@ def test_rows_are_marginal_differences():
 
 def test_rank_matches_sympy():
     for text, *_ in ANCHORS[:3]:
-        system = ct.build_equations(order_space(text))
+        space = order_space(text)
+        system = ct.build_equations(space)
         expected = sympy.Matrix(system.rows).rank()
-        assert ct.rank(system) == expected
+        assert rank_of_rows(system.rows, system.num_columns) == expected
+        assert ct.rank(ext(space), space.events) == expected
 
 
 def all_pairs_system(space):
@@ -122,11 +126,43 @@ def all_pairs_system(space):
 def test_rank_invariant_under_row_permutation_and_pair_scheme():
     space = order_space("total(A,B)|discrete(C)")
     system = ct.build_equations(space)
-    shuffled = ct.LinearSystem(tuple(reversed(system.rows)), system.num_events)
-    assert ct.rank(shuffled) == ct.rank(system)
+    width = system.num_columns
+    rank = rank_of_rows(system.rows, width)
+    assert rank_of_rows(reversed(system.rows), width) == rank
     all_pairs = all_pairs_system(space)
-    assert ct.rank(all_pairs) == ct.rank(system)
+    assert rank_of_rows(all_pairs.rows, width) == rank
     assert all_pairs.num_rows >= system.num_rows
+
+
+def test_rank_matches_elimination_on_three_event_classes(hierarchy3):
+    # the 102 class systems; the 100 coarsening meets are checked against
+    # the elimination of their stacked systems in test_analysis
+    for class_id, node in hierarchy3.nodes.items():
+        system = ct.build_equations(Space(node.representative))
+        assert node.num_independent_equations == rank_of_rows(system.rows, 64), class_id
+        assert node.num_equations == system.num_rows, class_id
+    assert len(hierarchy3.nodes) == 102
+
+
+def test_rank_matches_elimination_on_four_event_spaces():
+    orders = [Space(hist_space(o)) for o in all_orders(4) if is_definite(o)]
+    assert len(orders) == 219
+    finder = SpaceFinder(4, verbose=False)
+    finder.blank_state()
+    searched = [Space(s) for s in islice(finder.iter_find_eq_classes(), 20)]
+    for space in random.Random(18).sample(orders, 30) + searched:
+        system = ct.build_equations(space)
+        assert ct.rank(ext(space), space.events) == rank_of_rows(system.rows, 256), space
+        assert ct.num_equations(ext(space), space.events) == system.num_rows, space
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_discrete_space_dim_is_no_signalling_dim(n):
+    # S. Pironio, J. Math. Phys. 46, 062112 (2005): 3**n - 1 for binary
+    # inputs and outputs
+    events = [chr(ord("A") + e) for e in range(n)]
+    discrete = Space.from_histories(h for e in events for h in total_assignments([e]))
+    assert ct.causaltope_dim(discrete) == 3**n - 1
 
 
 def test_product_models_satisfy_causality_rows():

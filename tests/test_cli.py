@@ -7,7 +7,7 @@ import pytest
 from causalspace import analysis, causaltope, cli
 from causalspace.cli import main
 from causalspace.enumerator import SpaceFinder, read_hsets
-from causalspace.spaces import Space
+from causalspace.spaces import Space, ext_hset
 from causalspace.symmetry import perm_table
 
 
@@ -166,30 +166,36 @@ def test_classify_rejects_unclosed_space_literal(capsys):
     assert capsys.readouterr().err.startswith("classify: ")
 
 
-def _count_build_equations(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """Records the first argument of each call to a ``causaltope`` function."""
     calls = []
-    build = causaltope.build_equations
+    fn = getattr(causaltope, name)
 
-    def counted(space, **kwargs):
-        calls.append(space.histories)
-        return build(space, **kwargs)
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return fn(first, *args, **kwargs)
 
-    monkeypatch.setattr(causaltope, "build_equations", counted)
+    monkeypatch.setattr(causaltope, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("class_id", [3, 17, 100])
 def test_classify_class_id_analyses_only_its_class(capsys, monkeypatch, hierarchy3, class_id):
-    calls = _count_build_equations(monkeypatch)
+    systems = _count_calls(monkeypatch, "build_equations")
+    ranks = _count_calls(monkeypatch, "rank")
     assert main(["classify", "--events", "3", "--class-id", str(class_id)]) == 0
     assert json.loads(capsys.readouterr().out)["class_id"] == class_id
-    # its own system only: the dimension of the coarsening meet comes from
-    # the union of the coarsening closures, with no system per coarsening
-    assert calls == [hierarchy3.nodes[class_id].representative]
+    # its own closure only: the dimension of the coarsening meet comes from
+    # the union of the coarsening closures, with no closure per coarsening;
+    # ranks and equation counts are counted, so no system is built
+    node = hierarchy3.nodes[class_id]
+    assert ranks[0] == ext_hset(node.representative)
+    assert len(ranks) == 1 + bool(node.closest_coarsenings)
+    assert systems == []
 
 
 def test_causaltope_class_id_builds_one_system(capsys, monkeypatch):
-    calls = _count_build_equations(monkeypatch)
+    calls = _count_calls(monkeypatch, "build_equations")
     assert main(["causaltope", "--events", "3", "--class-id", "17"]) == 0
     assert capsys.readouterr().out.startswith("000|000,")
     assert len(calls) == 1
@@ -244,6 +250,18 @@ def test_causaltope_rejects_literal_beyond_five_events(capsys, monkeypatch):
     assert main(["causaltope", "--events", "6", "--space", literal]) == 2
     err = capsys.readouterr().err
     assert err.startswith("causaltope: ") and "6 events" in err
+
+
+def test_causaltope_rejects_events_below_one(capsys, monkeypatch):
+    # the empty literal has 0 events, so the event-count check alone passes it
+    def unreachable(space, **kwargs):
+        raise AssertionError("build_equations was called")
+
+    monkeypatch.setattr(causaltope, "build_equations", unreachable)
+    assert main(["causaltope", "--events", "0", "--space", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "causaltope: --events must be 1-5: equation systems are not dumped for 0 events.\n"
+    )
 
 
 @pytest.mark.parametrize("events, literal_events", [(2, "ABC"), (5, "ABCDEF")])

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations, product
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalspace import enumerator as en
 from causalspace import spaces as sp
 from causalspace.analysis import causal_function_set
 from causalspace.encoding import (
@@ -353,6 +356,28 @@ def test_causal_completions_of_order_spaces_match_quadratic_filter(n):
             )
         )
         assert [c.histories for c in sp.causal_completions(space)] == closest
+
+
+def test_causal_completions_read_the_class_table_not_the_search(monkeypatch, enumeration3):
+    table = perm_table(3)
+    complete = sorted(s for rep in enumeration3[0] for s in space_orbit(rep, table))
+    rng = random.Random(2644)
+    pairs = (rng.sample(complete, 2) for _ in range(40))
+    spaces = [sp.space_join(sp.Space(a), sp.Space(b)) for a, b in pairs]
+    spaces += [sp.Space(hist_space(o)) for o in all_orders(3)]
+    assert sum(not sp.is_causally_complete(s) for s in spaces) == 39
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a search was started")
+
+    monkeypatch.setattr(en, "SpaceFinder", unreachable)
+    sp._all_complete_hsets.cache_clear()
+    out = [[c.histories for c in sp.causal_completions(s)] for s in spaces]
+    # the completions as computed from the orbits of a complete search
+    assert sum(map(len, out)) == 222
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == (
+        "18259919255ee1a3f2c1236d350cf1233cc9f581027ae9ff23ebe3fc5a32080e"
+    )
 
 
 def test_causal_completions_reject_incomplete_space_beyond_three_events():
