@@ -132,6 +132,7 @@ class HierarchyNode:
 
     class_id: int
     representative: HistorySet
+    key: int  # the representative's dense int
     canonical: HistorySet
     orbit_size: int
     hierarchy: "Hierarchy" = field(repr=False, compare=False)
@@ -283,7 +284,8 @@ def _catalogue(classes: Iterable[HistorySet], num_events: int) -> Hierarchy:
     """
     reps = _load_class_table(num_events)
     images = {r: _dense_images(num_events, r) for r in reps.values()}
-    class_table = {min(images[r]): (i, r) for i, r in reps.items()}  # canonical form
+    # canonical form -> class id, representative and its dense int
+    class_table = {min(images[r]): (i, r, images[r][0]) for i, r in reps.items()}
     table = perm_table(num_events)
 
     # dense canonical form -> {space: join-closure} over the orbit in
@@ -331,7 +333,7 @@ def _analyse(node: HierarchyNode) -> None:
     exts, class_of = hierarchy.ext_of_key, hierarchy.class_of_key
     sparse = perm_table(hierarchy.num_events).sparse
     sp = Space(rep)
-    rep_ext = exts[_dense_images(hierarchy.num_events, rep)[0]]
+    rep_ext = exts[node.key]
     below = [s for s, e in exts.items() if e != rep_ext and is_subset(rep_ext, e)]
     above = [s for s, e in exts.items() if e != rep_ext and is_subset(e, rep_ext)]
     covered = _frontier(below, exts, reverse=False)

@@ -13,12 +13,14 @@ histories, so that level emits class representatives.
 A node numbers its sorted children, so a children subset is a position
 whose bit ``i`` selects child ``i``, walked in binary order. Coverage is a
 mask test: a position is decoded only when it meets, for every candidate,
-the mask of that candidate's child indices.
+the mask of that candidate's child indices, and a position that misses a
+mask skips to the next one that sets the mask's lowest bit.
 
-A partial space counts as seen when its canonical dense key, the smallest
-of its packed images under the group (see ``symmetry``), is in a set the
-finder keeps beside the state, one key per visited partial space and per
-class. The state itself still holds the history sets as found, so the
+A partial space counts as seen when it was met before as it is, or else
+when its canonical dense key, the smallest of its packed images under the
+group (see ``symmetry``), is in a set the finder keeps beside the state, one
+key per visited partial space and per class. Only the second test images
+it. The state itself still holds the history sets as found, so the
 checkpoint format does not depend on the packed table.
 
 At the top level one recursive pass over the top-level histories fixes,
@@ -289,8 +291,10 @@ class SpaceFinder:
         )
         self._max_space_size = sys.getsizeof(1 << (1 << (2 * num_events)))
         self._state: Optional[SearchState] = None
-        # canonical dense keys of partial_spaces_visited and eq_classes
+        # canonical dense keys of partial_spaces_visited and eq_classes, and
+        # the partial spaces met as they are whose orbit is seen
         self._seen: set[bytes] = set()
+        self._seen_spaces: set[HistorySet] = set()
         self._start_time = perf_counter()
         self._num_eq_classes_since_last_save = 0
 
@@ -307,7 +311,7 @@ class SpaceFinder:
     def blank_state(self) -> None:
         """Initialises the finder for a fresh search."""
         self._state = SearchState()
-        self._seen = set()
+        self._seen, self._seen_spaces = set(), set()
 
     def load_state(self, filename: str) -> None:
         """Loads a previously saved search state from a binary file."""
@@ -323,6 +327,7 @@ class SpaceFinder:
                 f" hold {num_spaces}."
             )
         self._state, self._seen = state, seen
+        self._seen_spaces = {*state.partial_spaces_visited, *state.eq_classes}
 
     def _seen_keys(self, state: SearchState) -> tuple[set[bytes], int]:
         """The canonical dense keys of a state, and the spaces its classes hold."""
@@ -475,8 +480,8 @@ class SpaceFinder:
         subsets of the current fixed choice. ``memsize`` is an upper bound
         on bytes held by the search state's collections: one maximal space
         bitvector per entry across the mutable collections, plus container
-        overhead. The finder's set of canonical dense keys beside the state
-        is not counted.
+        overhead. Neither the finder's canonical dense keys beside the state
+        nor its partial spaces met as they are is counted.
         """
         state = self.state
         idx = state.fix_child_choice_idx
@@ -548,6 +553,7 @@ class SpaceFinder:
             self._print_status_line()
         self.state.partial_spaces_visited.clear()
         self._seen, _ = self._seen_keys(self.state)
+        self._seen_spaces = set(self.state.eq_classes)
         self._save_state()
         self._describe()
 
@@ -595,7 +601,7 @@ class SpaceFinder:
         ]
         state = self.state
         dense_images = self._table.dense_images
-        seen = self._seen
+        seen, seen_spaces = self._seen, self._seen_spaces
         if level == 0:
             iter_child_subsets = self._iter_child_subsets_toplevel
         else:
@@ -612,17 +618,22 @@ class SpaceFinder:
                 if cover != h:
                     winnowed_hs.append(h)
             partial_space = set(chain(child_subset, winnowed_hs))
-            # an orbit meets the seen spaces iff its canonical key is seen
+            partial_space_bitvec = bitvec(partial_space)
+            # seen if met as it is, or else if its orbit meets the seen
+            # spaces, which is iff its canonical key is seen
+            if partial_space_bitvec in seen_spaces:
+                continue
             imgs = dense_images(partial_space)
             canon = min(imgs)
             if canon in seen:
+                seen_spaces.add(partial_space_bitvec)
                 continue
-            partial_space_bitvec = bitvec(partial_space)
             # the children of level n - 2 are single-event histories
             if level == self._num_events - 2:
                 state.num_spaces += len(set(imgs))
                 state.eq_classes[partial_space_bitvec] = None
                 seen.add(canon)
+                seen_spaces.add(partial_space_bitvec)
                 yield partial_space_bitvec
             else:
                 yield from self._find_eq_classes(child_subset, winnowed_hs, level + 1)
@@ -632,6 +643,7 @@ class SpaceFinder:
                 # (their minimum member domain size pins the level)
                 state.partial_spaces_visited[partial_space_bitvec] = None
                 seen.add(canon)
+                seen_spaces.add(partial_space_bitvec)
 
     # -- child subset iteration --------------------------------------------
 
@@ -653,9 +665,20 @@ class SpaceFinder:
         """
         index = {k: i for i, k in enumerate(child_hists)}
         masks = [bitvec(index[k] for k in self._children[h] if k in index) for h in hs]
-        for bits in range(start, 1 << len(child_hists)):
-            if all(map(bits.__and__, masks)):
+        # a zero mask is never met; a position that misses mask m skips to
+        # the next one with m's lowest bit set, as none in between meets m
+        if not all(masks):
+            return
+        end = 1 << len(child_hists)
+        bits = start
+        while bits < end:
+            for m in masks:
+                if not bits & m:
+                    bits = (bits | ((m & -m) - 1)) + 1
+                    break
+            else:
                 yield bits, {child_hists[i] for i in iter_bitvec(bits)}
+                bits += 1
 
     def _iter_child_subsets_toplevel(
         self, hs: Sequence[History]

@@ -366,7 +366,7 @@ def test_one_class_report_decodes_one_class(monkeypatch, enumeration3, hierarchy
     assert len(calls) <= 102 + len(covered) + 2
 
 
-def test_catalogue_images_each_table_representative_once(monkeypatch):
+def _count_dense_images(monkeypatch):
     calls = []
     images = an._dense_images
 
@@ -375,6 +375,11 @@ def test_catalogue_images_each_table_representative_once(monkeypatch):
         return images(num_events, s)
 
     monkeypatch.setattr(an, "_dense_images", counted)
+    return calls
+
+
+def test_catalogue_images_each_table_representative_once(monkeypatch):
+    calls = _count_dense_images(monkeypatch)
     reps = an._load_class_table(3)
     assert an._load_class_table(3) is reps  # the table is read once per process
     an._catalogue(reps.values(), 3)
@@ -382,6 +387,18 @@ def test_catalogue_images_each_table_representative_once(monkeypatch):
     closures = [ext_hset(r) for r in reps.values()]
     assert sorted(calls) == sorted([*reps.values(), *closures])
     assert len(calls) == 204
+
+
+def test_hierarchy_images_no_representative_twice(monkeypatch, enumeration3):
+    # the analysis reads each class's own dense int from the catalogue:
+    # 102 table representatives and 102 closures, plus the search's own
+    # representatives that are not the table's (96 of 102)
+    calls = _count_dense_images(monkeypatch)
+    an.build_hierarchy(an._load_class_table(3).values(), 3)
+    assert len(calls) == 204
+    calls.clear()
+    an.build_hierarchy(enumeration3[0], 3)
+    assert len(calls) == 300
 
 
 @pytest.mark.parametrize("num_events", [2, 3])

@@ -18,11 +18,12 @@ from causalspace.encoding import (
     domsize,
     history,
     history_sort_key,
+    iter_bitvec,
     max_histories,
     sub_histories,
 )
 from causalspace.spaces import prime_hset
-from causalspace.symmetry import canonical_rep, perm_table
+from causalspace.symmetry import PermTable, canonical_rep, perm_table
 
 
 def run_finder(n, **kwargs):
@@ -245,10 +246,8 @@ def test_iter_child_subsets_counts():
     for s in subsets:
         for h in hs:
             assert any(k & h == k for k in s)
-    a0 = history({"A": 0})
     single = [history({"A": 0, "B": 0})]
-    got = list(finder.iter_child_subsets(single))
-    assert got == [{1}, {4}, {1, 4}] or len(got) == 3
+    assert list(finder.iter_child_subsets(single)) == [{1}, {4}, {1, 4}]
 
 
 def reference_child_subsets(hs):
@@ -272,6 +271,99 @@ def test_iter_child_subsets_matches_reference():
     for n, hs in cases:
         finder = en.SpaceFinder(n, verbose=False)
         assert list(finder.iter_child_subsets(hs)) == reference_child_subsets(hs)
+
+
+def brute_force_child_subsets(hs, child_hists, start):
+    """The positions from ``start`` of ``child_hists`` subsets that give
+    every history a child, each with its subset, by testing every position."""
+    out = []
+    for bits in range(start, 1 << len(child_hists)):
+        subset = {k for i, k in enumerate(child_hists) if bits >> i & 1}
+        if all(subset.intersection(child_histories(h)) for h in hs):
+            out.append((bits, subset))
+    return out
+
+
+def test_child_subset_walk_matches_brute_force():
+    # the walk skips positions that miss a history's children; it must yield
+    # exactly the positions of the brute-force filter, in the same order
+    rng = random.Random(20)
+    finder = en.SpaceFinder(4, verbose=False)
+    histories = sub_histories(max_histories(4))
+    num_zero_masks = 0
+    for _ in range(150):
+        size = rng.choice((2, 3, 4))
+        level = [h for h in histories if domsize(h) == size]
+        hs = rng.sample(level, rng.randint(0, 4))
+        children = {k for h in hs for k in child_histories(h)}
+        # a random part of the children, so some histories may keep none:
+        # their mask is 0, and the walk must yield nothing and end
+        child_hists = sorted(
+            rng.sample(sorted(children), min(len(children), rng.randint(0, 11))),
+            key=history_sort_key,
+        )
+        if any(set(child_histories(h)).isdisjoint(child_hists) for h in hs):
+            num_zero_masks += 1
+        end = 1 << len(child_hists)
+        expected = brute_force_child_subsets(hs, child_hists, 0)
+        starts = [0, end, rng.randrange(end + 1)]
+        if expected:
+            starts.append(rng.choice(expected)[0])
+        for start in starts:
+            got = list(finder._child_subsets(hs, child_hists, start))
+            assert got == [(b, s) for b, s in expected if b >= start]
+    assert num_zero_masks > 10
+
+
+def assert_seen_spaces_are_seen(finder):
+    # a space met as it is stands for its orbit, whose key must be seen
+    table = perm_table(finder.num_events)
+    for s in finder._seen_spaces:
+        assert min(table.dense_images(iter_bitvec(s))) in finder._seen
+
+
+def test_seen_spaces_have_seen_keys(tmp_path):
+    finder = en.SpaceFinder(3, verbose=False)
+    finder.blank_state()
+    stream = finder.iter_find_eq_classes()
+    for num_classes in (1, 10, 40, 77, 102):
+        for _ in islice(stream, num_classes - finder.num_eq_classes):
+            pass
+        assert finder.num_eq_classes == num_classes
+        assert len(finder._seen_spaces) >= num_classes
+        assert_seen_spaces_are_seen(finder)
+    finder.find_eq_classes()
+    assert finder._seen_spaces == set(finder.state.eq_classes)
+    assert_seen_spaces_are_seen(finder)
+
+    path = str(tmp_path / "n4.bin")
+    first = en.SpaceFinder(4, verbose=False)
+    first.blank_state()
+    for _ in islice(first.iter_find_eq_classes(), 30):
+        pass
+    first.save_state(path, save_backup=False)
+    second = en.SpaceFinder(4, verbose=False)
+    second.load_state(path)
+    state = second.state
+    assert second._seen_spaces == {*state.partial_spaces_visited, *state.eq_classes}
+    assert_seen_spaces_are_seen(second)
+
+
+def test_three_event_search_images_each_new_space_once(monkeypatch):
+    # a partial space met before, exactly, is not imaged again: a blank
+    # 3-event search images 1,104 sets, the 102 classes re-keyed at its end
+    # included
+    calls = []
+    dense_images = PermTable.dense_images
+
+    def counted(self, histories):
+        calls.append(None)
+        return dense_images(self, histories)
+
+    monkeypatch.setattr(PermTable, "dense_images", counted)
+    finder = run_finder(3)
+    assert (finder.num_eq_classes, finder.num_spaces) == (102, 2644)
+    assert len(calls) == 1104
 
 
 def test_hsets_byte_format():
